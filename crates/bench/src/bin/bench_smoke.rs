@@ -73,8 +73,7 @@ use moby_community::{louvain_csr, louvain_seeded, modularity_csr_threads, Louvai
 use moby_core::candidate::TRIP_LABEL;
 use moby_core::temporal::{
     apply_batch_all, apply_window_all, build_all_from_spool, build_all_from_trips,
-    build_all_from_trips_sharded, build_all_from_trips_spilled, build_temporal_graph,
-    TemporalGranularity, TemporalGraph,
+    build_all_from_trips_spilled, build_temporal_graph, TemporalGranularity, TemporalGraph,
 };
 use moby_data::clean::{clean_trip_stream, clean_trip_stream_spooled};
 use moby_data::synth::city_trip_stream;
@@ -82,7 +81,7 @@ use moby_data::trips::WindowStart;
 use moby_data::trips::{TripBatch, TripTable};
 use moby_graph::metrics::{pagerank_csr, PageRankConfig};
 use moby_graph::{
-    aggregate, build_dense_csr, build_dense_csr_sharded, par, props, CsrDelta, CsrGraph,
+    aggregate, build_dense_csr, build_dense_csr_budgeted, par, props, CsrDelta, CsrGraph,
     GraphStore, PropValue,
 };
 use moby_server::{QueryPool, Request, ServeConfig, SnapshotWriter, WriteOp};
@@ -741,15 +740,22 @@ fn smoke_large(threads: usize, shards: usize) -> (Vec<LargeStage>, CsrGraph) {
     );
 
     let build_station = |shards: Option<usize>| {
-        build_dense_csr_sharded(
+        let (src, dst, weight) = (table.src(), table.dst(), table.weights());
+        build_dense_csr_budgeted(
             false,
             table.station_ids().to_vec(),
-            table.src(),
-            table.dst(),
-            table.weights(),
+            |f| {
+                for k in 0..src.len() {
+                    f(src[k], dst[k], weight[k]);
+                }
+                Ok(())
+            },
             shards,
             Some(threads),
+            None,
+            None,
         )
+        .expect("city tier: station build failed")
     };
     let start = Instant::now();
     let unsharded = build_station(Some(1));
@@ -786,8 +792,15 @@ fn smoke_large(threads: usize, shards: usize) -> (Vec<LargeStage>, CsrGraph) {
     );
 
     let start = Instant::now();
-    let temporals =
-        build_all_from_trips_sharded(&table, Some(&sharded), Some(shards), Some(threads));
+    let temporals = build_all_from_trips_spilled(
+        &table,
+        Some(&sharded),
+        Some(shards),
+        Some(threads),
+        None,
+        None,
+    )
+    .expect("city tier: sharded temporal build failed");
     stages.push(LargeStage {
         name: "large/temporal_sharded".into(),
         rows: table.len(),
@@ -804,6 +817,10 @@ fn smoke_large(threads: usize, shards: usize) -> (Vec<LargeStage>, CsrGraph) {
 /// is not set: well under the city tier's in-memory scatter footprint, so
 /// the out-of-core path genuinely engages.
 const SPILL_DEFAULT_BUDGET_MB: u64 = 128;
+
+/// A spill budget (MB) no build can exceed: the in-memory probe stays in
+/// memory whatever `MOBY_SPILL_BUDGET_MB` says.
+const NEVER_SPILL_MB: u64 = u64::MAX;
 
 /// The spill budget (MB) the spill tier reports and the child probes run
 /// under.
@@ -882,7 +899,15 @@ fn run_city_probe(mode: &str, threads: usize, shards: usize) -> ! {
         "inmem" => {
             let (table, report) =
                 clean_trip_stream(stations, cfg.trips as usize, city_trip_stream(&cfg));
-            let t = build_all_from_trips_sharded(&table, None, Some(shards), Some(threads));
+            let t = build_all_from_trips_spilled(
+                &table,
+                None,
+                Some(shards),
+                Some(threads),
+                Some(NEVER_SPILL_MB),
+                None,
+            )
+            .expect("city probe: in-memory build failed");
             (t, report.rows_kept, 0)
         }
         "spill" => {

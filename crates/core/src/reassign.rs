@@ -137,9 +137,9 @@ impl SelectedNetwork {
         self.stations.iter().map(|s| (s.id, s.position)).collect()
     }
 
-    /// Look up a station by id.
+    /// Look up a station by id — see [`find_station`].
     pub fn station(&self, id: NodeId) -> Option<&FinalStation> {
-        self.stations.iter().find(|s| s.id == id)
+        find_station(&self.stations, id)
     }
 
     /// Ingest a batch of new trips — the streaming entry point of the
@@ -360,6 +360,19 @@ impl SelectedNetwork {
         let appended = self.ingest_batch(batch, threads)?;
         Ok(WindowOutcome { evicted, appended })
     }
+}
+
+/// Look up a station by id in a directory laid out like
+/// [`SelectedNetwork::stations`]: two id-sorted runs, pre-existing
+/// stations first, then selected ones. One binary search per run, so
+/// O(log stations); the result is the first match in directory order,
+/// exactly what a linear scan returns.
+pub fn find_station(stations: &[FinalStation], id: NodeId) -> Option<&FinalStation> {
+    let (fixed, selected) = stations.split_at(stations.partition_point(|s| s.is_fixed));
+    [fixed, selected].into_iter().find_map(|run| {
+        let at = run.partition_point(|s| s.id < id);
+        run.get(at).filter(|s| s.id == id)
+    })
 }
 
 /// Build the selected network: the expanded station set, the reassigned
@@ -684,6 +697,30 @@ mod tests {
             out.table.total_edges
         );
         assert_eq!(out.directed.edge_count(), out.table.total_edges);
+    }
+
+    #[test]
+    fn station_lookup_matches_a_linear_scan() {
+        let (ds, net, sel) = setup();
+        let out = build_selected_network(&ds, &net, &sel).unwrap();
+        assert!(out.stations.iter().any(|s| s.is_fixed));
+        assert!(out.stations.iter().any(|s| !s.is_fixed));
+        let absent = out.stations.iter().map(|s| s.id).max().unwrap() + 1;
+        let ids = out.stations.iter().map(|s| s.id).chain([absent, 0]);
+        for id in ids {
+            // Same entry, not merely an equal one.
+            let linear = out
+                .stations
+                .iter()
+                .find(|s| s.id == id)
+                .map(std::ptr::from_ref);
+            assert_eq!(
+                out.station(id).map(std::ptr::from_ref),
+                linear,
+                "station {id}"
+            );
+        }
+        assert_eq!(out.station(absent), None);
     }
 
     #[test]

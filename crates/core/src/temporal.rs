@@ -22,12 +22,17 @@
 //!
 //! ## Two construction paths
 //!
-//! * **Columnar (hot path)** — [`build_all_from_trips`] makes **one pass**
-//!   over the cleaned [`TripTable`] columns, emitting the edge lists of
-//!   all three granularities against the table's shared station-intern
-//!   table (layer keys computed inline), then freezes each through the
-//!   sort-merge [`CsrBuilder`]. No per-edge hash operation anywhere,
-//!   parallel yet bit-identical at any thread count.
+//! * **Dense slot intern (the production path)** — every full build
+//!   ([`build_all_from_trips`], [`build_all_from_trips_spilled`] and
+//!   [`build_all_from_spool`]) runs one body over a replayable stream of
+//!   cleaned, interned trips. `GBasic` is built over the station table;
+//!   `GDay`/`GHour` intern their layered nodes over the dense candidate
+//!   slots `station_index * stride + key`, bounded by the station table
+//!   rather than the trip count. Each graph is frozen by
+//!   [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted),
+//!   which alone decides whether the build stays in memory or spills to
+//!   disk. No per-edge hash operation anywhere, and bit-identical at any
+//!   thread count × shard count × spill budget.
 //! * **Store projection (compatibility / equivalence baseline)** —
 //!   [`build_temporal_graph`] re-scans the property store once per
 //!   granularity through the `WeightedGraph` hash-map builders and
@@ -39,8 +44,8 @@ use crate::candidate::TRIP_LABEL;
 use crate::CoreError;
 use moby_data::spool::TripSpool;
 use moby_data::trips::{AppendOutcome, EvictOutcome, TripTable};
-use moby_graph::{aggregate, spill};
-use moby_graph::{CsrBuilder, CsrDelta, CsrEvict, CsrGraph, GraphStore, NodeId, WeightedGraph};
+use moby_graph::aggregate;
+use moby_graph::{CsrDelta, CsrEvict, CsrGraph, GraphStore, NodeId, WeightedGraph};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
@@ -228,17 +233,20 @@ fn extend_layer_map(
     map
 }
 
+/// A spill budget (MB) no build can exceed: the infallible table build
+/// stays in memory whatever `MOBY_SPILL_BUDGET_MB` says.
+const NEVER_SPILL_MB: u64 = u64::MAX;
+
 /// Build all three temporal graphs from the columnar [`TripTable`] — the
 /// hot construction path.
 ///
-/// **One pass** over the trip columns emits the edge lists for every
-/// granularity against the table's shared station-intern table: `GBasic`
-/// edges are the station pairs themselves, `GDay`/`GHour` edges carry the
-/// layer key folded into the node id inline
-/// (`station * stride + key`). Each list then freezes through the
-/// sort-merge [`CsrBuilder`] — zero per-edge hash operations end to end,
-/// and (per the scheduler contract) bit-identical results at any
-/// `threads` setting.
+/// The table's rows feed the one construction body this module has (see
+/// the [module docs](self)): `GBasic` edges are the station pairs
+/// themselves, `GDay`/`GHour` edges join `(station, key)` layered nodes
+/// interned over the dense candidate slots. Zero per-edge hash
+/// operations end to end, and (per the scheduler contract) bit-identical
+/// results at any `threads` setting. This entry never spills, so it
+/// cannot fail; `MOBY_SHARDS` sets the construction shard count.
 ///
 /// `basic` optionally supplies an already-built station-level undirected
 /// CSR (the pipeline shares the selected network's
@@ -261,83 +269,62 @@ pub fn build_all_from_trips(
     basic: Option<&CsrGraph>,
     threads: Option<usize>,
 ) -> Vec<TemporalGraph> {
-    build_all_from_trips_sharded(trips, basic, None, threads)
+    build_all_dense(trips, basic, None, threads, Some(NEVER_SPILL_MB), None)
+        .expect("an in-memory build over a trip table performs no I/O")
 }
 
-/// [`build_all_from_trips`] with explicit control over the number of
-/// construction shards — the city-scale entry point.
+/// [`build_all_from_trips`] with explicit construction **shards** and an
+/// out-of-core **spill budget** — the bounded-memory city-scale entry
+/// point.
 ///
-/// Every frozen graph routes through the sharded sort-merge assembly
-/// (`GBasic` via
-/// [`build_dense_csr_sharded`](moby_graph::build_dense_csr_sharded),
-/// `GDay`/`GHour` via [`CsrBuilder::shards`]), so the per-shard scatter
-/// buffers bound peak construction memory to roughly a shard's worth of
-/// half-edges per worker instead of the full edge list. Results are
-/// **bit-identical** to [`build_all_from_trips`] at any `(shards,
-/// threads)` combination — shard boundaries are a pure function of the
-/// row structure and the shard count, never of scheduling (see
-/// `DESIGN.md`, "Sharded construction"). `shards: None` defers to the
-/// `MOBY_SHARDS` environment knob and then to 1.
-pub fn build_all_from_trips_sharded(
+/// `shards: None` defers to the `MOBY_SHARDS` environment knob and then
+/// to 1; shard boundaries are a pure function of the row structure and
+/// the shard count, never of scheduling (see `DESIGN.md`, "Sharded
+/// construction"). `budget_mb = None` resolves the `MOBY_SPILL_BUDGET_MB`
+/// environment knob; each graph whose estimated scatter footprint
+/// exceeds the resolved budget partitions its half-edges to per-shard
+/// disk runs under `spill_dir` (default: the system temp dir) instead of
+/// in-memory scatter columns. The frozen graphs and layer maps are
+/// **bit-identical** to [`build_all_from_trips`] at any shard count ×
+/// thread count × budget — the fourth independence axis; see
+/// `DESIGN.md`, "Out-of-core construction". Spill I/O failures surface
+/// as [`CoreError::Spill`].
+pub fn build_all_from_trips_spilled(
     trips: &TripTable,
     basic: Option<&CsrGraph>,
     shards: Option<usize>,
     threads: Option<usize>,
-) -> Vec<TemporalGraph> {
-    let m = trips.len();
-    let mut day_builder = CsrBuilder::undirected().threads(threads).shards(shards);
-    let mut hour_builder = CsrBuilder::undirected().threads(threads).shards(shards);
-    day_builder.reserve(m);
-    hour_builder.reserve(m);
-    let day_stride = TemporalGranularity::TDay.stride();
-    let hour_stride = TemporalGranularity::THour.stride();
+    budget_mb: Option<u64>,
+    spill_dir: Option<&Path>,
+) -> crate::Result<Vec<TemporalGraph>> {
+    build_all_dense(trips, basic, shards, threads, budget_mb, spill_dir)
+}
 
-    let (src, dst) = (trips.src(), trips.dst());
-    let (day, hour, weight) = (trips.day(), trips.hour(), trips.weights());
-    for k in 0..m {
-        let s = trips.station_id(src[k]);
-        let d = trips.station_id(dst[k]);
-        let w = weight[k];
-        let dk = day[k] as u64;
-        day_builder.push(s * day_stride + dk, d * day_stride + dk, w);
-        let hk = hour[k] as u64;
-        hour_builder.push(s * hour_stride + hk, d * hour_stride + hk, w);
-    }
-
-    let basic_csr = match basic {
-        Some(csr) => csr.clone(),
-        None => {
-            // The station-level graph builds straight from the dense trip
-            // columns; seeding the full sorted node table keeps every
-            // station visible, like the legacy store projection.
-            moby_graph::build_dense_csr_sharded(
-                false,
-                trips.station_ids().to_vec(),
-                trips.src(),
-                trips.dst(),
-                trips.weights(),
-                shards,
-                threads,
-            )
-        }
-    };
-    let day_csr = day_builder.build();
-    let hour_csr = hour_builder.build();
-
-    let day_map = decode_layer_map(&day_csr, day_stride);
-    let hour_map = decode_layer_map(&hour_csr, hour_stride);
-    vec![
-        TemporalGraph::from_csr(TemporalGranularity::TNull, basic_csr, None),
-        TemporalGraph::from_csr(TemporalGranularity::TDay, day_csr, Some(day_map)),
-        TemporalGraph::from_csr(TemporalGranularity::THour, hour_csr, Some(hour_map)),
-    ]
+/// Build all three temporal graphs straight from a disk-backed
+/// [`TripSpool`] — the fully streaming arm: the city generator's rows
+/// flow through
+/// [`clean_trip_stream_spooled`](moby_data::clean::clean_trip_stream_spooled)
+/// to one spool, and every granularity replays that spool into disk
+/// spill runs (a zero budget), so the full `TripTable` edge columns never
+/// materialise in memory.
+///
+/// `GBasic` seeds the full station table (isolated stations stay
+/// visible, like every other build path). The result is bit-identical
+/// to [`build_all_from_trips`] over the equivalent in-memory table.
+pub fn build_all_from_spool(
+    spool: &TripSpool,
+    shards: Option<usize>,
+    threads: Option<usize>,
+    spill_dir: Option<&Path>,
+) -> crate::Result<Vec<TemporalGraph>> {
+    build_all_dense(spool, None, shards, threads, Some(0), spill_dir)
 }
 
 /// A replayable stream of cleaned, interned trips — the abstraction that
-/// lets the spilled temporal builds consume either the in-memory
-/// [`TripTable`] columns or a disk-backed [`TripSpool`] through one code
-/// path. Rows are `(src, dst, day, hour, weight)` with dense station
-/// indices, replayed in insertion order on every call.
+/// lets the one construction body consume either the in-memory
+/// [`TripTable`] columns or a disk-backed [`TripSpool`]. Rows are
+/// `(src, dst, day, hour, weight)` with dense station indices, replayed
+/// in insertion order on every call.
 trait TripSource {
     /// The sorted station intern table the dense indices refer to.
     fn stations(&self) -> &[NodeId];
@@ -382,90 +369,43 @@ impl TripSource for TripSpool {
     }
 }
 
-/// [`build_all_from_trips_sharded`] with an out-of-core **spill budget**
-/// — the bounded-memory city-scale entry point.
-///
-/// `budget_mb = None` resolves the `MOBY_SPILL_BUDGET_MB` environment
-/// knob (via [`spill::budget_bytes`]); when the resolved budget exists
-/// and a granularity's estimated scatter footprint exceeds it, that
-/// build routes through
-/// [`build_dense_csr_spilled`](moby_graph::build_dense_csr_spilled):
-/// half-edges partition to per-shard disk runs under `spill_dir`
-/// (default: the system temp dir) instead of in-memory scatter columns.
-/// The frozen graphs and layer maps are **bit-identical** to
-/// [`build_all_from_trips_sharded`] at any shard count × thread count ×
-/// budget — the fourth independence axis; see `DESIGN.md`,
-/// "Out-of-core construction". Spill I/O failures surface as
-/// [`CoreError::Spill`].
-pub fn build_all_from_trips_spilled(
-    trips: &TripTable,
+/// The one full-build body: `GBasic` over the station table (unless the
+/// caller shares one), `GDay`/`GHour` through the layered slot intern —
+/// each frozen by the budgeted stream entry.
+fn build_all_dense(
+    source: &dyn TripSource,
     basic: Option<&CsrGraph>,
     shards: Option<usize>,
     threads: Option<usize>,
     budget_mb: Option<u64>,
     spill_dir: Option<&Path>,
 ) -> crate::Result<Vec<TemporalGraph>> {
-    // Every granularity is undirected with one edge per trip: 2m halves.
-    let est_halves = 2 * trips.len();
-    if !spill::should_spill(est_halves, spill::budget_bytes(budget_mb)) {
-        return Ok(build_all_from_trips_sharded(trips, basic, shards, threads));
-    }
-    build_all_spilled(trips, basic, shards, threads, spill_dir)
-}
-
-/// Build all three temporal graphs straight from a disk-backed
-/// [`TripSpool`] — the fully streaming arm: the city generator's rows
-/// flow through
-/// [`clean_trip_stream_spooled`](moby_data::clean::clean_trip_stream_spooled)
-/// to one spool, and that **single spill pass per granularity** feeds
-/// `GBasic`, `GDay` and `GHour` without the full `TripTable` edge
-/// columns ever materialising in memory.
-///
-/// `GBasic` seeds the full station table (isolated stations stay
-/// visible, like every other build path). The result is bit-identical
-/// to [`build_all_from_trips`] over the equivalent in-memory table.
-pub fn build_all_from_spool(
-    spool: &TripSpool,
-    shards: Option<usize>,
-    threads: Option<usize>,
-    spill_dir: Option<&Path>,
-) -> crate::Result<Vec<TemporalGraph>> {
-    build_all_spilled(spool, None, shards, threads, spill_dir)
-}
-
-/// Shared body of the spilled builds: `GBasic` over the station table,
-/// `GDay`/`GHour` through the layered candidate intern — all three via
-/// [`build_dense_csr_spilled`](moby_graph::build_dense_csr_spilled).
-fn build_all_spilled(
-    source: &dyn TripSource,
-    basic: Option<&CsrGraph>,
-    shards: Option<usize>,
-    threads: Option<usize>,
-    spill_dir: Option<&Path>,
-) -> crate::Result<Vec<TemporalGraph>> {
     let basic_csr = match basic {
         Some(csr) => csr.clone(),
-        None => moby_graph::build_dense_csr_spilled(
+        None => moby_graph::build_dense_csr_budgeted(
             false,
             source.stations().to_vec(),
             |f| source.replay(&mut |s, d, _, _, w| f(s, d, w)),
             shards,
             threads,
+            budget_mb,
             spill_dir,
         )?,
     };
-    let day_csr = build_layered_spilled(
+    let day_csr = build_layered(
         source,
         TemporalGranularity::TDay,
         shards,
         threads,
+        budget_mb,
         spill_dir,
     )?;
-    let hour_csr = build_layered_spilled(
+    let hour_csr = build_layered(
         source,
         TemporalGranularity::THour,
         shards,
         threads,
+        budget_mb,
         spill_dir,
     )?;
     let day_map = decode_layer_map(&day_csr, TemporalGranularity::TDay.stride());
@@ -477,22 +417,21 @@ fn build_all_spilled(
     ])
 }
 
-/// One layered granularity, spilled. The node table must match what
-/// [`CsrBuilder`] would intern over the same layered edge pushes —
-/// **first-appearance order** (src before dst within each trip) — so the
-/// spilled graph stays bit-identical to the in-memory build. The intern
-/// runs over the **dense candidate space** `station_index * stride + key`
-/// (bounded by the station table, never by the trip count): a forward
-/// replay records each present candidate's first slot (`2k` for trip
-/// `k`'s src, `2k + 1` for its dst, set-if-absent = minimum), and
-/// ordering present candidates by that slot reproduces the builder's
-/// sort-dedup-resort intern exactly — slots are unique, and no seeds
-/// exist on this path.
-fn build_layered_spilled(
+/// One layered granularity. The node table is **first-appearance
+/// order** (src before dst within each trip) — the order the store
+/// projection and the delta/evict paths intern in. The intern runs over
+/// the **dense candidate space** `station_index * stride + key` (bounded
+/// by the station table, never by the trip count): a forward replay
+/// records each present candidate's first slot (`2k` for trip `k`'s src,
+/// `2k + 1` for its dst, set-if-absent = minimum), and ordering present
+/// candidates by that slot gives the first-appearance order exactly —
+/// slots are unique.
+fn build_layered(
     source: &dyn TripSource,
     granularity: TemporalGranularity,
     shards: Option<usize>,
     threads: Option<usize>,
+    budget_mb: Option<u64>,
     spill_dir: Option<&Path>,
 ) -> crate::Result<CsrGraph> {
     debug_assert!(
@@ -533,7 +472,7 @@ fn build_layered_spilled(
         node_ids.push(stations[station_idx] * stride + key);
         dense[cand as usize] = i as u32;
     }
-    moby_graph::build_dense_csr_spilled(
+    moby_graph::build_dense_csr_budgeted(
         false,
         node_ids,
         |f| {
@@ -548,6 +487,7 @@ fn build_layered_spilled(
         },
         shards,
         threads,
+        budget_mb,
         spill_dir,
     )
     .map_err(CoreError::from)
@@ -1134,7 +1074,15 @@ mod tests {
         let baseline = build_all_from_trips(&trips, None, Some(1));
         for shards in [Some(1), Some(2), Some(4)] {
             for threads in [Some(1), Some(2), Some(4)] {
-                let sharded = build_all_from_trips_sharded(&trips, None, shards, threads);
+                let sharded = build_all_from_trips_spilled(
+                    &trips,
+                    None,
+                    shards,
+                    threads,
+                    Some(NEVER_SPILL_MB),
+                    None,
+                )
+                .unwrap();
                 for (g, b) in sharded.iter().zip(&baseline) {
                     assert_eq!(g.csr, b.csr, "{:?} @ {shards:?} shards", g.granularity);
                     assert_eq!(g.layer_map, b.layer_map);

@@ -6,7 +6,8 @@
 //! `apply_evict_all` — is **bitwise equal** — node table, offsets,
 //! targets, weights, cached degrees, edge counts, total weight, layer
 //! maps — to rebuilding everything in one shot from the surviving table,
-//! at 1/2/4 threads and 1/4 construction shards. Random chains are
+//! at 1/2/4 threads, from bases built at 1/4 construction shards and at
+//! an unset or zero (spill everything) budget. Random chains are
 //! supplemented by the named edge cases: evicting everything, evicting
 //! nothing, pinned evictions that leave isolated stations, and a batch
 //! re-adding a station the previous eviction compacted away.
@@ -15,7 +16,7 @@ use moby_core::detect::{
     detect_communities, refresh_communities, refresh_communities_active, DetectConfig,
 };
 use moby_core::temporal::{
-    apply_batch_all, apply_evict_all, build_all_from_trips, build_all_from_trips_sharded,
+    apply_batch_all, apply_evict_all, build_all_from_trips, build_all_from_trips_spilled,
     TemporalGraph,
 };
 use moby_data::trips::{TripBatch, TripTable, WindowStart};
@@ -162,13 +163,21 @@ fn assert_matches_model(
 }
 
 /// Run the full differential check: starting from `base_rows`, apply the
-/// chain of ingest/evict ops at the given thread and shard counts,
-/// asserting after every step that the table, both station graphs and
-/// all three temporal graphs are bitwise equal to one-shot rebuilds.
+/// chain of ingest/evict ops at the given thread count, from temporal
+/// bases built at the given shard count and spill budget, asserting
+/// after every step that the table, both station graphs and all three
+/// temporal graphs are bitwise equal to one-shot rebuilds.
 ///
 /// `pinned` selects `evict_before_pinned` (fixed station set, isolated
 /// rows survive) over the compacting `evict_before`.
-fn check_chain(base_rows: &[Row], ops: &[Op], threads: usize, shards: usize, pinned: bool) {
+fn check_chain(
+    base_rows: &[Row],
+    ops: &[Op],
+    threads: usize,
+    shards: usize,
+    budget_mb: Option<u64>,
+    pinned: bool,
+) {
     let threads = Some(threads);
     let mut table = base_table(base_rows);
     let mut directed = build_dense_csr(
@@ -187,7 +196,9 @@ fn check_chain(base_rows: &[Row], ops: &[Op], threads: usize, shards: usize, pin
         table.weights(),
         threads,
     );
-    let mut temporals = build_all_from_trips_sharded(&table, None, Some(shards), threads);
+    let mut temporals =
+        build_all_from_trips_spilled(&table, None, Some(shards), threads, budget_mb, None)
+            .expect("base temporal build");
 
     // The model: surviving rows in order, plus the station set the intern
     // table must hold (always sorted — both append and compaction keep
@@ -327,6 +338,10 @@ fn check_active_refresh_chain(base_rows: &[Row], ops: &[Op], threads: usize) {
     }
 }
 
+/// Base-build spill budgets: unset (the environment decides; in memory
+/// by default) and zero (every base graph built from disk runs).
+const BUDGETS_MB: [Option<u64>; 2] = [None, Some(0)];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
@@ -337,7 +352,9 @@ proptest! {
     ) {
         for threads in [1usize, 2, 4] {
             for shards in [1usize, 4] {
-                check_chain(&base, &ops, threads, shards, pinned == 1);
+                for budget_mb in BUDGETS_MB {
+                    check_chain(&base, &ops, threads, shards, budget_mb, pinned == 1);
+                }
             }
         }
     }
@@ -368,7 +385,7 @@ fn evicting_everything_leaves_empty_graphs() {
     ];
     for threads in [1usize, 2, 4] {
         for pinned in [false, true] {
-            check_chain(&base, &ops, threads, 1, pinned);
+            check_chain(&base, &ops, threads, 1, None, pinned);
         }
     }
 }
@@ -382,7 +399,7 @@ fn evicting_nothing_is_identity() {
     ];
     for threads in [1usize, 2, 4] {
         for pinned in [false, true] {
-            check_chain(&base, &ops, threads, 1, pinned);
+            check_chain(&base, &ops, threads, 1, None, pinned);
         }
     }
 }
@@ -398,7 +415,7 @@ fn pinned_eviction_keeps_isolated_stations() {
     ];
     let ops = vec![Op::Evict(WindowStart::new(4, 0))];
     for threads in [1usize, 2, 4] {
-        check_chain(&base, &ops, threads, 1, true);
+        check_chain(&base, &ops, threads, 1, None, true);
     }
 }
 
@@ -414,7 +431,9 @@ fn batch_re_adds_a_just_evicted_station() {
     ];
     for threads in [1usize, 2, 4] {
         for shards in [1usize, 4] {
-            check_chain(&base, &ops, threads, shards, false);
+            for budget_mb in BUDGETS_MB {
+                check_chain(&base, &ops, threads, shards, budget_mb, false);
+            }
         }
     }
 }

@@ -22,6 +22,10 @@
 //! the thread count, and every merge folds per-chunk results in chunk
 //! order — the module contract of [`par`]).
 //!
+//! Sources that already hold dense `u32` endpoints over a known node
+//! table skip steps 1–2: [`build_dense_csr`] takes in-memory columns and
+//! [`build_dense_csr_budgeted`] a replayable edge stream.
+//!
 //! ## Sharded construction
 //!
 //! At city scale the serial stable-scatter pass of step 3 dominates the
@@ -35,24 +39,30 @@
 //! preserves exactly that order — the sharded build is **bit-identical
 //! to the unsharded one at any shard count and any thread count**, the
 //! third independence axis after the thread-count and builder/freeze
-//! contracts. See [`build_dense_csr_sharded`] and `DESIGN.md`.
+//! contracts. [`build_dense_csr_budgeted`] takes the shard count
+//! explicitly; the other entries resolve `MOBY_SHARDS` via
+//! [`par::shard_count`]. See `DESIGN.md`.
 //!
-//! ## Out-of-core spilled construction
+//! ## One spill decision
 //!
-//! When a memory budget is set ([`CsrBuilder::spill_budget`] /
-//! [`spill::BUDGET_ENV`]) and the estimated scatter footprint — half-edge
-//! count × [`spill::HALF_EDGE_BYTES`] — exceeds it, the half-edge columns
-//! are never materialised: the counting pass streams the edges once to
-//! build the provisional offsets, a partition pass appends each half-edge
-//! to its owning shard's **disk run** (plain little-endian columnar
-//! records under a RAII temp dir, see [`spill`]) in global insertion
-//! order, and each shard's merge streams back only its own run through
-//! the same shard-local scatter + `sort_merge_rows` as the in-memory
-//! sharded pass. Because the runs preserve global insertion order within
-//! each row, the per-row buckets are byte-equal to the in-memory scatter
-//! and the frozen graph is **bit-identical to the in-memory build at any
-//! shard count × thread count × budget** — the fourth independence axis,
-//! enforced by `tests/proptest_spill.rs`.
+//! [`build_dense_csr_budgeted`] is the only entry that can spill, and the
+//! only place the budget ([`spill::budget_bytes`]: explicit megabytes,
+//! then [`spill::BUDGET_ENV`]) is resolved. While the stream replays into
+//! the in-memory half-edge columns it applies the budget rule
+//! ([`spill::should_spill`]) to the edge count so far; once the estimated
+//! scatter footprint exceeds the budget it drops the columns and builds
+//! out of core instead: a counting pass builds the provisional offsets, a
+//! partition pass appends each half-edge to its owning shard's **disk
+//! run** (plain little-endian columnar records under a RAII temp dir, see
+//! [`spill`]) in global insertion order, and each shard's merge streams
+//! back only its own run through the same shard-local scatter +
+//! `sort_merge_rows` as the in-memory sharded pass. Because the runs
+//! preserve global insertion order within each row, the per-row buckets
+//! are byte-equal to the in-memory scatter and the frozen graph is
+//! **bit-identical to the in-memory build at any shard count × thread
+//! count × budget** — the fourth independence axis, enforced by
+//! `tests/proptest_spill.rs`. The infallible entries ([`build_dense_csr`],
+//! [`CsrBuilder::build`]) never spill, so they cannot fail on I/O.
 //!
 //! The output is *exactly* the graph `WeightedGraph::freeze()` would have
 //! produced from the same inserts — same dense node table, same sorted
@@ -62,7 +72,7 @@
 
 use crate::csr::CsrParts;
 use crate::{par, spill, CsrGraph, NodeId};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A struct-of-arrays list of weighted edges — the columnar intermediate
 /// between trip records and a frozen [`CsrGraph`].
@@ -165,9 +175,6 @@ pub struct CsrBuilder {
     seeds: Vec<NodeId>,
     edges: EdgeList,
     threads: Option<usize>,
-    shards: Option<usize>,
-    spill_budget: Option<u64>,
-    spill_dir: Option<PathBuf>,
 }
 
 impl CsrBuilder {
@@ -193,38 +200,6 @@ impl CsrBuilder {
     /// thread count; this only tunes speed.
     pub fn threads(mut self, threads: Option<usize>) -> CsrBuilder {
         self.threads = threads;
-        self
-    }
-
-    /// Override the construction shard count for [`CsrBuilder::build`].
-    /// `None` (the default) resolves `MOBY_SHARDS` via
-    /// [`par::shard_count`] (default 1, unsharded). The built graph is
-    /// bit-identical at any shard count; sharding only parallelises the
-    /// row-scatter pass and bounds per-shard scatter memory — see the
-    /// [module docs](self).
-    pub fn shards(mut self, shards: Option<usize>) -> CsrBuilder {
-        self.shards = shards;
-        self
-    }
-
-    /// Set the out-of-core spill budget in **megabytes**. `None` (the
-    /// default) resolves [`spill::BUDGET_ENV`]; no budget anywhere means
-    /// the build never spills. When the estimated scatter footprint
-    /// exceeds the budget, [`CsrBuilder::build`] partitions the
-    /// half-edges to per-shard disk runs instead of in-memory columns —
-    /// the frozen graph is **bit-identical either way** (see the
-    /// [module docs](self)), so this only trades build speed for bounded
-    /// peak memory. `Some(0)` spills every non-empty build.
-    pub fn spill_budget(mut self, budget_mb: Option<u64>) -> CsrBuilder {
-        self.spill_budget = budget_mb;
-        self
-    }
-
-    /// Override the base directory spill runs are created under (default:
-    /// [`std::env::temp_dir`]). The build creates — and removes, even on
-    /// panic — its own subdirectory beneath it.
-    pub fn spill_dir(mut self, dir: Option<PathBuf>) -> CsrBuilder {
-        self.spill_dir = dir;
         self
     }
 
@@ -268,24 +243,9 @@ impl CsrBuilder {
     }
 
     /// Freeze the buffered edges into a [`CsrGraph`] by parallel
-    /// sort-merge. See the [module docs](self).
-    ///
-    /// # Panics
-    ///
-    /// If an out-of-core spill engaged (via [`CsrBuilder::spill_budget`]
-    /// or [`spill::BUDGET_ENV`]) and failed on I/O. Use
-    /// [`CsrBuilder::try_build`] to handle spill failures as errors.
+    /// sort-merge. See the [module docs](self). Never spills: the edges
+    /// are already in memory.
     pub fn build(&self) -> CsrGraph {
-        self.try_build()
-            .expect("spill I/O failed; use CsrBuilder::try_build to handle it")
-    }
-
-    /// [`CsrBuilder::build`] with spill I/O failures surfaced as
-    /// [`crate::GraphError::Spill`] instead of panics — the entry for
-    /// callers that configure a spill budget and want to degrade
-    /// gracefully (e.g. retry in memory or report the temp-dir problem).
-    /// Without a resolved budget this never errors.
-    pub fn try_build(&self) -> crate::Result<CsrGraph> {
         let threads = par::thread_count(self.threads);
         let m = self.edges.len();
         assert!(
@@ -342,33 +302,14 @@ impl CsrBuilder {
                 dsts.push(d);
             }
         }
-
-        let est_halves = if self.directed { m } else { 2 * m };
-        if spill::should_spill(est_halves, spill::budget_bytes(self.spill_budget)) {
-            build_dense_csr_spilled(
-                self.directed,
-                node_ids,
-                |f| {
-                    for k in 0..m {
-                        f(srcs[k], dsts[k], self.edges.weight[k]);
-                    }
-                    Ok(())
-                },
-                self.shards,
-                self.threads,
-                self.spill_dir.as_deref(),
-            )
-        } else {
-            Ok(assemble(
-                self.directed,
-                node_ids,
-                &srcs,
-                &dsts,
-                &self.edges.weight,
-                par::shard_count(self.shards),
-                threads,
-            ))
-        }
+        assemble_columns(
+            self.directed,
+            node_ids,
+            &srcs,
+            &dsts,
+            &self.edges.weight,
+            threads,
+        )
     }
 }
 
@@ -378,8 +319,9 @@ impl CsrBuilder {
 /// a known node table. Skips the intern/sort and endpoint-mapping passes
 /// of [`CsrBuilder::build`]; the sort-merge row packing and its
 /// semantics (insertion-order weight merges, builder edge-count
-/// conventions, bit-identical results at any thread count) are
-/// identical.
+/// conventions, bit-identical results at any thread and shard count) are
+/// identical. Never spills; use [`build_dense_csr_budgeted`] for a
+/// memory-bounded build.
 ///
 /// `node_ids` supplies the dense node table (dense index = position);
 /// `src[k]`/`dst[k]` must be valid indices into it and every weight must
@@ -393,127 +335,108 @@ pub fn build_dense_csr(
     weight: &[f64],
     threads: Option<usize>,
 ) -> CsrGraph {
-    build_dense_csr_sharded(directed, node_ids, src, dst, weight, None, threads)
-}
-
-/// [`build_dense_csr`] with an explicit construction shard count — the
-/// city-scale entry point.
-///
-/// The dense row space is partitioned into at most `shards` contiguous
-/// station ranges balanced by half-edge count; each shard scatters its
-/// own rows from the half-edge columns (a shard-local forward scan, so
-/// every row's bucket keeps global insertion order) and sort-merges them
-/// with the same per-row machinery as the unsharded path, then the shard
-/// outputs concatenate in shard order. The result is **bit-identical to
-/// the unsharded build at any shard count and any thread count** — the
-/// shard-independence proptests assert this bitwise over
-/// {1, 2, 4} shards × {1, 2, 4} threads — so downstream consumers
-/// (including [`CsrGraph::apply_delta`](crate::CsrGraph::apply_delta),
-/// which accepts sharded bases unchanged) cannot observe the knob.
-///
-/// `shards = None` resolves the `MOBY_SHARDS` environment variable via
-/// [`par::shard_count`] (default 1). Shards bound the parallelism of the
-/// scatter/merge stages, so pick `shards >= threads` when sharding for
-/// speed; per-shard scatter buffers hold only that shard's half-edges,
-/// which is what keeps peak memory bounded on 10M-trip builds.
-///
-/// # Panics
-///
-/// If an out-of-core spill engaged via [`spill::BUDGET_ENV`] and failed
-/// on I/O. Use [`build_dense_csr_budgeted`] to handle spill errors.
-pub fn build_dense_csr_sharded(
-    directed: bool,
-    node_ids: Vec<NodeId>,
-    src: &[u32],
-    dst: &[u32],
-    weight: &[f64],
-    shards: Option<usize>,
-    threads: Option<usize>,
-) -> CsrGraph {
-    build_dense_csr_budgeted(
-        directed, node_ids, src, dst, weight, shards, threads, None, None,
-    )
-    .expect("spill I/O failed; use build_dense_csr_budgeted to handle it")
-}
-
-/// [`build_dense_csr_sharded`] with an explicit out-of-core **spill
-/// budget** — the bounded-memory city-scale entry point.
-///
-/// `budget_mb = None` resolves [`spill::BUDGET_ENV`]; when the resolved
-/// budget exists and the estimated scatter footprint (half-edge count ×
-/// [`spill::HALF_EDGE_BYTES`]) exceeds it, the half-edge columns are
-/// partitioned to per-shard disk runs under `spill_dir` (default: the
-/// system temp dir) and merged by streaming each shard's run back — see
-/// the [module docs](self). The result is **bit-identical to the
-/// in-memory build at any shard count × thread count × budget**; only
-/// peak memory and build speed change. Spill I/O failures surface as
-/// [`crate::GraphError::Spill`].
-#[allow(clippy::too_many_arguments)]
-pub fn build_dense_csr_budgeted(
-    directed: bool,
-    node_ids: Vec<NodeId>,
-    src: &[u32],
-    dst: &[u32],
-    weight: &[f64],
-    shards: Option<usize>,
-    threads: Option<usize>,
-    budget_mb: Option<u64>,
-    spill_dir: Option<&Path>,
-) -> crate::Result<CsrGraph> {
     assert_eq!(src.len(), dst.len(), "dense edge columns must align");
     assert_eq!(src.len(), weight.len(), "dense edge columns must align");
     assert!(
         src.len() <= (u32::MAX / 2) as usize,
         "edge list exceeds the u32 CSR index space"
     );
-    let m = src.len();
-    let est_halves = if directed { m } else { 2 * m };
-    if spill::should_spill(est_halves, spill::budget_bytes(budget_mb)) {
-        build_dense_csr_spilled(
-            directed,
-            node_ids,
-            |f| {
-                for k in 0..m {
-                    f(src[k], dst[k], weight[k]);
-                }
-                Ok(())
-            },
-            shards,
-            threads,
-            spill_dir,
-        )
-    } else {
-        Ok(assemble(
-            directed,
-            node_ids,
-            src,
-            dst,
-            weight,
-            par::shard_count(shards),
-            par::thread_count(threads),
-        ))
-    }
+    assemble_columns(
+        directed,
+        node_ids,
+        src,
+        dst,
+        weight,
+        par::thread_count(threads),
+    )
 }
 
-/// Out-of-core spilled assembly from a **replayable dense edge stream** —
-/// the entry the streaming city arm uses so the full edge columns never
-/// materialise in memory.
+/// Build a frozen graph from a **replayable dense edge stream** under an
+/// out-of-core memory budget — the one construction entry that can
+/// spill, and the one place the budget is resolved.
 ///
 /// `for_each_edge` must replay the same `(src, dst, weight)` sequence —
 /// dense indices into `node_ids`, validated weights — on every call, in
-/// insertion order (it is called once per pass: counting, partition, and
-/// for directed graphs the same two passes again for the in-adjacency).
-/// A closure over in-memory columns, a disk spool, or a deterministic
-/// generator all qualify. Errors returned by the stream propagate.
+/// insertion order. A closure over in-memory columns, a disk spool, or a
+/// deterministic generator all qualify. Errors returned by the stream
+/// propagate.
 ///
-/// The frozen graph — node table, offsets, targets, merged weight bits,
-/// cached degrees, edge count and total weight — is **bit-identical** to
-/// [`build_dense_csr`] over the same columns; see the
-/// [module docs](self) for why insertion-order runs preserve the fold
-/// bits. Spill runs live under `spill_dir` (default: the system temp
-/// dir) in a subdirectory that is removed on return, error and panic
-/// alike.
-pub fn build_dense_csr_spilled<F>(
+/// `budget_mb = None` resolves [`spill::BUDGET_ENV`]; no budget anywhere
+/// means the build never spills, and `Some(u64::MAX)` is a budget no
+/// build can exceed. The first replay fills the in-memory half-edge
+/// columns; as soon as the estimated scatter footprint of the edges seen
+/// so far (half-edge count × [`spill::HALF_EDGE_BYTES`]) exceeds the
+/// budget, the build switches to per-shard disk runs under `spill_dir`
+/// (default: the system temp dir), which are removed on return, error
+/// and panic alike. An empty stream never spills. Either way the frozen
+/// graph — node table, offsets, targets, merged weight bits, cached
+/// degrees, edge count and total weight — is **bit-identical** to
+/// [`build_dense_csr`] over the same columns at any shard count × thread
+/// count × budget; only peak memory and build speed change. See the
+/// [module docs](self).
+///
+/// `shards = None` resolves `MOBY_SHARDS` via [`par::shard_count`]
+/// (default 1). Spill I/O failures surface as
+/// [`crate::GraphError::Spill`].
+pub fn build_dense_csr_budgeted<F>(
+    directed: bool,
+    node_ids: Vec<NodeId>,
+    mut for_each_edge: F,
+    shards: Option<usize>,
+    threads: Option<usize>,
+    budget_mb: Option<u64>,
+    spill_dir: Option<&Path>,
+) -> crate::Result<CsrGraph>
+where
+    F: FnMut(&mut dyn FnMut(u32, u32, f64)) -> crate::Result<()>,
+{
+    let budget = spill::budget_bytes(budget_mb);
+    let mut half = HalfEdges::default();
+    let mut total_weight = 0.0f64;
+    let mut m = 0usize;
+    let mut over_budget = false;
+    for_each_edge(&mut |s, d, w| {
+        if over_budget {
+            return;
+        }
+        m += 1;
+        if spill::should_spill(if directed { m } else { 2 * m }, budget) {
+            over_budget = true;
+            half = HalfEdges::default();
+            return;
+        }
+        debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
+        total_weight += w;
+        half.push_edge(s, d, w, directed);
+    })?;
+    if over_budget {
+        return build_spilled(
+            directed,
+            node_ids,
+            for_each_edge,
+            shards,
+            threads,
+            spill_dir,
+        );
+    }
+    assert!(
+        m <= (u32::MAX / 2) as usize,
+        "edge list exceeds the u32 CSR index space"
+    );
+    Ok(assemble(
+        directed,
+        node_ids,
+        half,
+        total_weight,
+        par::shard_count(shards),
+        par::thread_count(threads),
+    ))
+}
+
+/// The out-of-core arm of [`build_dense_csr_budgeted`]: pack the
+/// out-adjacency (and, for directed graphs, the in-adjacency) through
+/// per-shard disk runs and assemble the frozen graph.
+fn build_spilled<F>(
     directed: bool,
     node_ids: Vec<NodeId>,
     mut for_each_edge: F,
@@ -531,7 +454,7 @@ where
 
     // Total weight folds in insertion order during the first pass only —
     // at *edge* granularity, before the undirected expansion, exactly
-    // like the in-memory `assemble` fold.
+    // like the in-memory fold.
     let mut total_weight = 0.0f64;
     let mut m = 0u64;
     let mut fold_done = false;
@@ -587,34 +510,53 @@ where
     ))
 }
 
-/// The shared tail of both construction entries: pack the dense edge
-/// columns into sorted merged CSR rows and assemble the frozen graph.
-fn assemble(
+/// [`assemble`] over in-memory dense columns — the tail of the two
+/// infallible entries. Their shard count comes from `MOBY_SHARDS`.
+fn assemble_columns(
     directed: bool,
     node_ids: Vec<NodeId>,
     srcs: &[u32],
     dsts: &[u32],
-    weights_in: &[f64],
+    weights: &[f64],
+    threads: usize,
+) -> CsrGraph {
+    // Total weight: summed in insertion order, like the builder.
+    let mut total_weight = 0.0f64;
+    for &w in weights {
+        debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
+        total_weight += w;
+    }
+    assemble(
+        directed,
+        node_ids,
+        half_edges(srcs, dsts, weights, directed),
+        total_weight,
+        par::shard_count(None),
+        threads,
+    )
+}
+
+/// The in-memory tail of every entry: pack the out half-edges into
+/// sorted merged CSR rows and assemble the frozen graph. `total_weight`
+/// is the insertion-order fold of the edge weights. A directed graph's
+/// in-adjacency packs the same half-edges with rows and columns swapped.
+fn assemble(
+    directed: bool,
+    node_ids: Vec<NodeId>,
+    out_half: HalfEdges,
+    total_weight: f64,
     shards: usize,
     threads: usize,
 ) -> CsrGraph {
     let n = node_ids.len();
-
-    // Total weight: summed in insertion order, like the builder.
-    let mut total_weight = 0.0f64;
-    for &w in weights_in {
-        debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
-        total_weight += w;
-    }
-
-    // Pack rows. Undirected edges emit both orientations (a self-loop
-    // emits once), so each endpoint's row sees every incident edge in
-    // insertion order, exactly as the builder's symmetric adjacency
-    // update does.
-    let out_half = half_edges(srcs, dsts, weights_in, directed);
     let (offsets, targets, weights, pairs_once) = pack_rows(n, &out_half, shards, threads);
     let (in_offsets, in_targets, in_weights) = if directed {
-        let in_half = half_edges(dsts, srcs, weights_in, true);
+        let HalfEdges { row, col, weight } = out_half;
+        let in_half = HalfEdges {
+            row: col,
+            col: row,
+            weight,
+        };
         let (io, it, iw, _) = pack_rows(n, &in_half, shards, threads);
         (io, it, iw)
     } else {
@@ -643,31 +585,41 @@ fn assemble(
 /// in insertion order. Shared with the delta-merge path
 /// ([`crate::delta`]), which must expand batch edges exactly the way a
 /// full rebuild would.
+#[derive(Default)]
 pub(crate) struct HalfEdges {
     pub(crate) row: Vec<u32>,
     pub(crate) col: Vec<u32>,
     pub(crate) weight: Vec<f64>,
 }
 
+impl HalfEdges {
+    /// Append one edge's half-edges: a directed edge (or an undirected
+    /// self-loop) emits one record, an undirected edge both orientations.
+    #[inline]
+    fn push_edge(&mut self, row: u32, col: u32, weight: f64, directed: bool) {
+        self.row.push(row);
+        self.col.push(col);
+        self.weight.push(weight);
+        if !directed && row != col {
+            self.row.push(col);
+            self.col.push(row);
+            self.weight.push(weight);
+        }
+    }
+}
+
 /// Expand edges into half-edges. Directed graphs emit one record per edge
 /// (`rows`/`cols` swapped by the caller for the in-adjacency); an
 /// undirected edge emits both orientations, self-loops once.
 pub(crate) fn half_edges(rows: &[u32], cols: &[u32], weights: &[f64], directed: bool) -> HalfEdges {
-    let m = rows.len();
+    let cap = if directed { rows.len() } else { 2 * rows.len() };
     let mut half = HalfEdges {
-        row: Vec::with_capacity(if directed { m } else { 2 * m }),
-        col: Vec::with_capacity(if directed { m } else { 2 * m }),
-        weight: Vec::with_capacity(if directed { m } else { 2 * m }),
+        row: Vec::with_capacity(cap),
+        col: Vec::with_capacity(cap),
+        weight: Vec::with_capacity(cap),
     };
-    for k in 0..m {
-        half.row.push(rows[k]);
-        half.col.push(cols[k]);
-        half.weight.push(weights[k]);
-        if !directed && rows[k] != cols[k] {
-            half.row.push(cols[k]);
-            half.col.push(rows[k]);
-            half.weight.push(weights[k]);
-        }
+    for k in 0..rows.len() {
+        half.push_edge(rows[k], cols[k], weights[k], directed);
     }
     half
 }
@@ -982,32 +934,40 @@ mod tests {
         }
     }
 
+    /// Split `(src, dst, weight)` triples into dense columns over their
+    /// sorted id table.
+    fn dense_sample() -> (Vec<NodeId>, Vec<u32>, Vec<u32>, Vec<f64>) {
+        let edges = sample_edges();
+        let mut node_ids: Vec<NodeId> = edges.iter().flat_map(|&(s, d, _)| [s, d]).collect();
+        node_ids.sort_unstable();
+        node_ids.dedup();
+        let dense = |id: NodeId| node_ids.binary_search(&id).unwrap() as u32;
+        let src = edges.iter().map(|&(s, _, _)| dense(s)).collect();
+        let dst = edges.iter().map(|&(_, d, _)| dense(d)).collect();
+        let w = edges.iter().map(|&(_, _, w)| w).collect();
+        (node_ids, src, dst, w)
+    }
+
+    /// A replayable stream over in-memory dense columns.
+    fn replay<'a>(
+        src: &'a [u32],
+        dst: &'a [u32],
+        w: &'a [f64],
+    ) -> impl FnMut(&mut dyn FnMut(u32, u32, f64)) -> crate::Result<()> + 'a {
+        move |f| {
+            for k in 0..src.len() {
+                f(src[k], dst[k], w[k]);
+            }
+            Ok(())
+        }
+    }
+
     #[test]
     fn forced_spill_matches_in_memory_bitwise() {
         // Budget 0 forces every half-edge through the disk runs; the
         // frozen graph must stay bit-identical to the in-memory build
         // across shard and thread counts, directed and undirected.
-        let edges = sample_edges();
-        let (src_ids, dst_ids, w): (Vec<_>, Vec<_>, Vec<_>) = {
-            let mut s = Vec::new();
-            let mut d = Vec::new();
-            let mut ww = Vec::new();
-            for &(a, b, c) in &edges {
-                s.push(a);
-                d.push(b);
-                ww.push(c);
-            }
-            (s, d, ww)
-        };
-        let mut node_ids: Vec<NodeId> = src_ids.iter().chain(&dst_ids).copied().collect();
-        node_ids.sort_unstable();
-        node_ids.dedup();
-        let dense = |ids: &[NodeId]| -> Vec<u32> {
-            ids.iter()
-                .map(|id| node_ids.binary_search(id).unwrap() as u32)
-                .collect()
-        };
-        let (src, dst) = (dense(&src_ids), dense(&dst_ids));
+        let (node_ids, src, dst, w) = dense_sample();
         for directed in [false, true] {
             let baseline = build_dense_csr(directed, node_ids.clone(), &src, &dst, &w, Some(1));
             for shards in [1usize, 2, 4] {
@@ -1015,9 +975,7 @@ mod tests {
                     let spilled = build_dense_csr_budgeted(
                         directed,
                         node_ids.clone(),
-                        &src,
-                        &dst,
-                        &w,
+                        replay(&src, &dst, &w),
                         Some(shards),
                         Some(threads),
                         Some(0),
@@ -1032,50 +990,43 @@ mod tests {
 
     #[test]
     fn huge_budget_never_spills_and_matches() {
-        // A budget far above the footprint takes the in-memory branch;
-        // result equality is the observable contract either way.
-        let edges = sample_edges();
-        let mut b = CsrBuilder::undirected().spill_budget(Some(1 << 20));
-        let mut plain = CsrBuilder::undirected();
-        for &(s, d, w) in &edges {
-            b.push(s, d, w);
-            plain.push(s, d, w);
-        }
-        assert_identical(&b.try_build().expect("build"), &plain.build());
-    }
-
-    #[test]
-    fn builder_spill_budget_matches_plain_build() {
-        let edges = sample_edges();
+        // A budget no build can exceed takes the in-memory arm even with
+        // an unusable spill dir: no run directory is ever created.
+        let (node_ids, src, dst, w) = dense_sample();
+        let file = std::env::temp_dir().join(format!("moby-spill-test-h-{}", std::process::id()));
+        std::fs::write(&file, b"not a dir").unwrap();
         for directed in [false, true] {
-            let mk = || {
-                if directed {
-                    CsrBuilder::directed()
-                } else {
-                    CsrBuilder::undirected()
-                }
-            };
-            let mut plain = mk();
-            let mut spilled = mk().spill_budget(Some(0)).shards(Some(3)).threads(Some(2));
-            for &(s, d, w) in &edges {
-                plain.push(s, d, w);
-                spilled.push(s, d, w);
-            }
-            assert_identical(&spilled.build(), &plain.build());
+            let built = build_dense_csr_budgeted(
+                directed,
+                node_ids.clone(),
+                replay(&src, &dst, &w),
+                Some(2),
+                Some(2),
+                Some(u64::MAX),
+                Some(&file.join("sub")),
+            )
+            .expect("in-memory build");
+            let plain = build_dense_csr(directed, node_ids.clone(), &src, &dst, &w, Some(1));
+            assert_identical(&built, &plain);
         }
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]
     fn spill_runs_are_removed_on_success() {
         let base = std::env::temp_dir().join(format!("moby-spill-test-ok-{}", std::process::id()));
         std::fs::create_dir_all(&base).unwrap();
-        let mut b = CsrBuilder::undirected()
-            .spill_budget(Some(0))
-            .spill_dir(Some(base.clone()));
-        for &(s, d, w) in &sample_edges() {
-            b.push(s, d, w);
-        }
-        let g = b.build();
+        let (node_ids, src, dst, w) = dense_sample();
+        let g = build_dense_csr_budgeted(
+            false,
+            node_ids,
+            replay(&src, &dst, &w),
+            None,
+            None,
+            Some(0),
+            Some(&base),
+        )
+        .expect("spilled build");
         assert_eq!(g.node_count(), 4);
         let leftovers: Vec<_> = std::fs::read_dir(&base).unwrap().collect();
         assert!(
@@ -1088,16 +1039,20 @@ mod tests {
     #[test]
     fn unwritable_spill_dir_is_an_error_not_a_panic() {
         // A plain file as the base dir: create_dir_all under it fails,
-        // and try_build surfaces GraphError::Spill instead of panicking.
+        // and the budgeted build surfaces GraphError::Spill.
         let file = std::env::temp_dir().join(format!("moby-spill-test-f-{}", std::process::id()));
         std::fs::write(&file, b"not a dir").unwrap();
-        let mut b = CsrBuilder::undirected()
-            .spill_budget(Some(0))
-            .spill_dir(Some(file.join("sub")));
-        for &(s, d, w) in &sample_edges() {
-            b.push(s, d, w);
-        }
-        match b.try_build() {
+        let (node_ids, src, dst, w) = dense_sample();
+        let got = build_dense_csr_budgeted(
+            false,
+            node_ids,
+            replay(&src, &dst, &w),
+            None,
+            None,
+            Some(0),
+            Some(&file.join("sub")),
+        );
+        match got {
             Err(crate::GraphError::Spill(msg)) => {
                 assert!(msg.contains("spill dir"), "unexpected message: {msg}")
             }
@@ -1107,12 +1062,76 @@ mod tests {
     }
 
     #[test]
+    fn stream_errors_propagate() {
+        let got = build_dense_csr_budgeted(
+            false,
+            vec![1, 2],
+            |_| Err(crate::GraphError::Spill("stream broke".into())),
+            None,
+            None,
+            None,
+            None,
+        );
+        assert_eq!(got, Err(crate::GraphError::Spill("stream broke".into())));
+    }
+
+    #[test]
+    fn budget_crossed_mid_stream_matches_in_memory() {
+        // 40 000 undirected edges estimate 80 000 half-edges (1.22 MiB),
+        // so a 1 MB budget is crossed part-way through the first replay:
+        // the partial in-memory columns are dropped and the build moves
+        // to the disk runs.
+        let n = 300u32;
+        let mut x = 5u64;
+        let (mut src, mut dst, mut w) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..40_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            src.push(((x >> 33) % u64::from(n)) as u32);
+            dst.push(((x >> 17) % u64::from(n)) as u32);
+            w.push(((x >> 3) % 100) as f64 / 8.0 + 0.25);
+        }
+        let node_ids: Vec<NodeId> = (0..u64::from(n)).collect();
+        assert!(spill::should_spill(
+            2 * src.len(),
+            spill::budget_bytes(Some(1))
+        ));
+        assert!(!spill::should_spill(2 * 1000, spill::budget_bytes(Some(1))));
+        let got = build_dense_csr_budgeted(
+            false,
+            node_ids.clone(),
+            replay(&src, &dst, &w),
+            Some(2),
+            Some(2),
+            Some(1),
+            None,
+        )
+        .expect("spilled build");
+        assert_identical(
+            &got,
+            &build_dense_csr(false, node_ids, &src, &dst, &w, Some(1)),
+        );
+    }
+
+    #[test]
     fn empty_build_never_spills() {
-        let g = CsrBuilder::undirected()
-            .spill_budget(Some(0))
-            .try_build()
-            .expect("empty build");
-        assert_eq!(g.node_count(), 0);
+        // Zero budget, unusable spill dir: an empty stream still builds,
+        // because there is nothing to spill.
+        let file = std::env::temp_dir().join(format!("moby-spill-test-e-{}", std::process::id()));
+        std::fs::write(&file, b"not a dir").unwrap();
+        let g = build_dense_csr_budgeted(
+            false,
+            vec![3, 5],
+            |_| Ok(()),
+            Some(2),
+            None,
+            Some(0),
+            Some(&file.join("sub")),
+        )
+        .expect("empty build");
+        std::fs::remove_file(&file).ok();
+        assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 0);
     }
 
@@ -1264,15 +1283,16 @@ mod tests {
             let base = build_dense_csr(directed, node_ids.clone(), &src, &dst, &w, Some(2));
             for shards in [1usize, 2, 3, 4, 7] {
                 for threads in [1usize, 2, 4] {
-                    let sharded = build_dense_csr_sharded(
+                    let sharded = build_dense_csr_budgeted(
                         directed,
                         node_ids.clone(),
-                        &src,
-                        &dst,
-                        &w,
+                        replay(&src, &dst, &w),
                         Some(shards),
                         Some(threads),
-                    );
+                        Some(u64::MAX),
+                        None,
+                    )
+                    .expect("in-memory build");
                     assert_identical(&sharded, &base);
                 }
             }
@@ -1280,35 +1300,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_builder_matches_unsharded_builder() {
-        let base = {
-            let mut b = CsrBuilder::undirected();
-            b.extend_edges(&sample_edges().into_iter().collect());
-            b.build()
-        };
-        for shards in [1usize, 2, 4] {
-            let mut b = CsrBuilder::undirected().shards(Some(shards));
-            b.reserve(sample_edges().len());
-            b.extend_edges(&sample_edges().into_iter().collect());
-            assert_identical(&b.build(), &base);
-        }
-    }
-
-    #[test]
     fn sharded_build_handles_empty_and_single_row_spaces() {
-        let empty = build_dense_csr_sharded(false, Vec::new(), &[], &[], &[], Some(4), Some(2));
-        assert!(empty.is_empty());
-        let one = build_dense_csr_sharded(
-            true,
-            vec![7],
-            &[0, 0],
-            &[0, 0],
-            &[1.0, 2.0],
-            Some(4),
-            Some(2),
-        );
-        assert_eq!(one.node_count(), 1);
-        assert_eq!(one.row(0), (&[0u32][..], &[3.0][..]));
+        for budget_mb in [0, u64::MAX] {
+            let build = |directed, node_ids, src: &[u32], dst: &[u32], w: &[f64]| {
+                build_dense_csr_budgeted(
+                    directed,
+                    node_ids,
+                    replay(src, dst, w),
+                    Some(4),
+                    Some(2),
+                    Some(budget_mb),
+                    None,
+                )
+                .expect("build")
+            };
+            assert!(build(false, Vec::new(), &[], &[], &[]).is_empty());
+            let one = build(true, vec![7], &[0, 0], &[0, 0], &[1.0, 2.0]);
+            assert_eq!(one.node_count(), 1);
+            assert_eq!(one.row(0), (&[0u32][..], &[3.0][..]));
+        }
     }
 
     #[test]

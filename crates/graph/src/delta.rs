@@ -39,7 +39,7 @@
 //! and the `bench_smoke` CI job enforce the contract end to end.
 //!
 //! **Sharded bases.** A base graph built through the sharded path
-//! ([`build_dense_csr_sharded`](crate::build_dense_csr_sharded)) is
+//! ([`build_dense_csr_budgeted`](crate::build_dense_csr_budgeted)) is
 //! bit-identical to the unsharded build, so `apply_delta` accepts it
 //! unchanged and the equivalence contract carries over verbatim: delta on
 //! a sharded base equals the unsharded rebuild of the concatenated list.

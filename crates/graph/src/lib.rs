@@ -21,6 +21,13 @@
 //!   merge, parallelised on [`par`]), producing bit-for-bit the graph
 //!   [`WeightedGraph::freeze`] would have built — with zero per-edge hash
 //!   operations;
+//! * [`build_dense_csr`] / [`build_dense_csr_budgeted`] — the same
+//!   packing for already-interned dense endpoints, from in-memory columns
+//!   or from a replayable edge stream. The budgeted stream entry is the
+//!   one construction entry that can spill to disk ([`spill`]): it alone
+//!   resolves the memory budget and picks in-memory or out-of-core
+//!   assembly, bit-identical either way. Every other entry is infallible
+//!   and never spills;
 //! * [`CsrDelta`] / [`CsrGraph::apply_delta`] — **incremental updates**:
 //!   an edge batch merges into an existing frozen graph row by row,
 //!   producing a graph bit-identical to rebuilding from the concatenated
@@ -73,10 +80,7 @@ pub mod spill;
 mod store;
 mod value;
 
-pub use build::{
-    build_dense_csr, build_dense_csr_budgeted, build_dense_csr_sharded, build_dense_csr_spilled,
-    CsrBuilder, EdgeList,
-};
+pub use build::{build_dense_csr, build_dense_csr_budgeted, CsrBuilder, EdgeList};
 pub use csr::{AlignedSlab, CsrGraph, PermutedGraph, CACHE_LINE};
 pub use delta::CsrDelta;
 pub use evict::CsrEvict;

@@ -1,8 +1,9 @@
 //! Out-of-core spill runs for the sharded CSR construction path.
 //!
 //! When a build's estimated scatter footprint exceeds a configured memory
-//! budget ([`CsrBuilder::spill_budget`](crate::CsrBuilder::spill_budget) /
-//! the [`BUDGET_ENV`] environment variable), the half-edge columns are
+//! budget (the `budget_mb` argument of
+//! [`build_dense_csr_budgeted`](crate::build_dense_csr_budgeted) / the
+//! [`BUDGET_ENV`] environment variable), the half-edge columns are
 //! **partitioned to per-shard spill files** during the counting pass
 //! instead of being materialised in memory: each shard's run holds exactly
 //! the half-edges whose row falls in that shard's range, written in
@@ -44,7 +45,9 @@ pub const HALF_EDGE_BYTES: usize = 16;
 /// Resolve the spill budget in **bytes**: the explicit override (in MB)
 /// wins, then [`BUDGET_ENV`], then `None` (no budget — never spill).
 /// Mirrors [`crate::par::thread_count`]-style resolution, except that `0`
-/// is kept (spill everything) rather than treated as "auto".
+/// is kept (spill everything) rather than treated as "auto", and
+/// `u64::MAX` saturates to a budget no build can exceed. Its one caller
+/// is [`build_dense_csr_budgeted`](crate::build_dense_csr_budgeted).
 pub fn budget_bytes(explicit_mb: Option<u64>) -> Option<u64> {
     explicit_mb
         .or_else(|| parse_budget(std::env::var(BUDGET_ENV).ok().as_deref()))
@@ -240,6 +243,8 @@ mod tests {
         assert!(!should_spill(1_000, Some(16_000)));
         // An empty build never spills, even at zero budget.
         assert!(!should_spill(0, Some(0)));
+        // The saturated budget is never exceeded.
+        assert!(!should_spill(usize::MAX, budget_bytes(Some(u64::MAX))));
     }
 
     #[test]

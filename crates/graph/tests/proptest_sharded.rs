@@ -1,15 +1,16 @@
 //! Property tests for the **shard independence contract**: on arbitrary
-//! dense edge columns, the sharded construction path must produce a
-//! graph **bit-identical** to the unsharded [`build_dense_csr`] — same
-//! dense node table, same offsets/targets, bit-identical merged weights
-//! and cached degrees — at every `(shards, threads)` combination in
+//! dense edge columns, the sharded in-memory construction path
+//! ([`build_dense_csr_budgeted`] under a budget no build exceeds) must
+//! produce a graph **bit-identical** to the unsharded
+//! [`build_dense_csr`] — same dense node table, same offsets/targets,
+//! bit-identical merged weights and cached degrees — at every `(shards, threads)` combination in
 //! {1, 2, 4} × {1, 2, 4}, directed and undirected, and [`apply_delta`]
 //! must treat a sharded-built base exactly like an unsharded one across
 //! a chain of batches.
 //!
 //! [`apply_delta`]: CsrGraph::apply_delta
 
-use moby_graph::{build_dense_csr, build_dense_csr_sharded, CsrBuilder, CsrDelta, CsrGraph};
+use moby_graph::{build_dense_csr, build_dense_csr_budgeted, CsrDelta, CsrGraph};
 use proptest::prelude::*;
 
 /// Random dense edge columns over a small sorted station table:
@@ -25,6 +26,21 @@ fn dense_columns() -> impl Strategy<Value = (Vec<u64>, Vec<u32>, Vec<u32>, Vec<f
         let weight: Vec<f64> = edges.iter().map(|&(_, _, w)| w).collect();
         (node_ids, src, dst, weight)
     })
+}
+
+/// A replayable dense edge stream over in-memory columns — the shape
+/// [`build_dense_csr_budgeted`] consumes.
+fn replay<'a>(
+    src: &'a [u32],
+    dst: &'a [u32],
+    weight: &'a [f64],
+) -> impl FnMut(&mut dyn FnMut(u32, u32, f64)) -> moby_graph::Result<()> + 'a {
+    move |f| {
+        for k in 0..src.len() {
+            f(src[k], dst[k], weight[k]);
+        }
+        Ok(())
+    }
 }
 
 /// Strict equality: the derived `PartialEq` plus bit-level comparison of
@@ -68,6 +84,9 @@ fn assert_bit_identical(sharded: &CsrGraph, baseline: &CsrGraph) {
 
 const SHARDS: [usize; 3] = [1, 2, 4];
 const THREADS: [usize; 3] = [1, 2, 4];
+/// A budget (MB) no build can exceed: keeps every build in memory, so
+/// this suite isolates the shard axis from the spill axis.
+const IN_MEMORY: Option<u64> = Some(u64::MAX);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -85,56 +104,17 @@ proptest! {
             build_dense_csr(directed, node_ids.clone(), &src, &dst, &weight, Some(1));
         for shards in SHARDS {
             for threads in THREADS {
-                let sharded = build_dense_csr_sharded(
+                let sharded = build_dense_csr_budgeted(
                     directed,
                     node_ids.clone(),
-                    &src,
-                    &dst,
-                    &weight,
+                    replay(&src, &dst, &weight),
                     Some(shards),
                     Some(threads),
-                );
+                    IN_MEMORY,
+                    None,
+                )
+                .expect("in-memory build");
                 assert_bit_identical(&sharded, &baseline);
-            }
-        }
-    }
-
-    /// The first-appearance-interning builder honours the same contract
-    /// through [`CsrBuilder::shards`].
-    #[test]
-    fn sharded_builder_is_shard_and_thread_independent(
-        cols in dense_columns(),
-        directed in 0u8..2,
-    ) {
-        let (node_ids, src, dst, weight) = cols;
-        let directed = directed == 1;
-        let push_all = |builder: &mut CsrBuilder| {
-            for k in 0..src.len() {
-                builder.push(
-                    node_ids[src[k] as usize],
-                    node_ids[dst[k] as usize],
-                    weight[k],
-                );
-            }
-        };
-        let mut base = if directed {
-            CsrBuilder::directed()
-        } else {
-            CsrBuilder::undirected()
-        };
-        push_all(&mut base);
-        let baseline = base.build();
-        for shards in SHARDS {
-            for threads in THREADS {
-                let mut b = if directed {
-                    CsrBuilder::directed()
-                } else {
-                    CsrBuilder::undirected()
-                }
-                .shards(Some(shards))
-                .threads(Some(threads));
-                push_all(&mut b);
-                assert_bit_identical(&b.build(), &baseline);
             }
         }
     }
@@ -158,15 +138,16 @@ proptest! {
         if a > b {
             std::mem::swap(&mut a, &mut b);
         }
-        let mut graph = build_dense_csr_sharded(
+        let mut graph = build_dense_csr_budgeted(
             directed,
             node_ids.clone(),
-            &src[..a],
-            &dst[..a],
-            &weight[..a],
+            replay(&src[..a], &dst[..a], &weight[..a]),
             Some(4),
             Some(2),
-        );
+            IN_MEMORY,
+            None,
+        )
+        .expect("in-memory base build");
         for batch in [a..b, b..m] {
             let delta = CsrDelta::from_dense(
                 directed,

@@ -1,8 +1,8 @@
 //! Property tests for the **spill independence contract** (the fourth
-//! determinism axis): on arbitrary dense edge columns, the out-of-core
-//! spilled construction path must produce a graph **bit-identical** to
-//! the in-memory [`build_dense_csr`] — same dense node table, same
-//! offsets/targets, bit-identical merged weights, cached degrees and
+//! determinism axis): on arbitrary dense edge columns, the budgeted
+//! stream entry [`build_dense_csr_budgeted`] must produce a graph
+//! **bit-identical** to the in-memory [`build_dense_csr`] — same dense
+//! node table, same offsets/targets, bit-identical merged weights, cached degrees and
 //! total weight — at every `(shards, threads, budget)` combination,
 //! directed and undirected, including a zero budget (spill everything)
 //! and a huge budget (spill nothing). Delta and evict chains applied on
@@ -10,9 +10,7 @@
 //!
 //! [`apply_delta`]: CsrGraph::apply_delta
 
-use moby_graph::{
-    build_dense_csr, build_dense_csr_budgeted, CsrBuilder, CsrDelta, CsrEvict, CsrGraph,
-};
+use moby_graph::{build_dense_csr, build_dense_csr_budgeted, CsrDelta, CsrEvict, CsrGraph};
 use proptest::prelude::*;
 
 /// Random dense edge columns over a small sorted station table:
@@ -28,6 +26,21 @@ fn dense_columns() -> impl Strategy<Value = (Vec<u64>, Vec<u32>, Vec<u32>, Vec<f
         let weight: Vec<f64> = edges.iter().map(|&(_, _, w)| w).collect();
         (node_ids, src, dst, weight)
     })
+}
+
+/// A replayable dense edge stream over in-memory columns — the shape
+/// [`build_dense_csr_budgeted`] consumes.
+fn replay<'a>(
+    src: &'a [u32],
+    dst: &'a [u32],
+    weight: &'a [f64],
+) -> impl FnMut(&mut dyn FnMut(u32, u32, f64)) -> moby_graph::Result<()> + 'a {
+    move |f| {
+        for k in 0..src.len() {
+            f(src[k], dst[k], weight[k]);
+        }
+        Ok(())
+    }
 }
 
 /// Strict equality: the derived `PartialEq` plus bit-level comparison of
@@ -96,9 +109,7 @@ proptest! {
                     let spilled = build_dense_csr_budgeted(
                         directed,
                         node_ids.clone(),
-                        &src,
-                        &dst,
-                        &weight,
+                        replay(&src, &dst, &weight),
                         Some(shards),
                         Some(threads),
                         Some(budget_mb),
@@ -106,50 +117,6 @@ proptest! {
                     )
                     .expect("spilled build");
                     assert_bit_identical(&spilled, &baseline);
-                }
-            }
-        }
-    }
-
-    /// The first-appearance-interning builder honours the same contract
-    /// through [`CsrBuilder::spill_budget`] / [`CsrBuilder::try_build`].
-    #[test]
-    fn spilled_builder_is_budget_shard_and_thread_independent(
-        cols in dense_columns(),
-        directed in 0u8..2,
-    ) {
-        let (node_ids, src, dst, weight) = cols;
-        let directed = directed == 1;
-        let push_all = |builder: &mut CsrBuilder| {
-            for k in 0..src.len() {
-                builder.push(
-                    node_ids[src[k] as usize],
-                    node_ids[dst[k] as usize],
-                    weight[k],
-                );
-            }
-        };
-        let mut base = if directed {
-            CsrBuilder::directed()
-        } else {
-            CsrBuilder::undirected()
-        };
-        push_all(&mut base);
-        let baseline = base.build();
-        for budget_mb in BUDGETS_MB {
-            for shards in SHARDS {
-                for threads in THREADS {
-                    let mut b = if directed {
-                        CsrBuilder::directed()
-                    } else {
-                        CsrBuilder::undirected()
-                    }
-                    .shards(Some(shards))
-                    .threads(Some(threads))
-                    .spill_budget(Some(budget_mb));
-                    push_all(&mut b);
-                    let built = b.try_build().expect("spilled builder build");
-                    assert_bit_identical(&built, &baseline);
                 }
             }
         }
@@ -177,9 +144,7 @@ proptest! {
         let mut graph = build_dense_csr_budgeted(
             directed,
             node_ids.clone(),
-            &src[..a],
-            &dst[..a],
-            &weight[..a],
+            replay(&src[..a], &dst[..a], &weight[..a]),
             Some(4),
             Some(2),
             Some(0),
@@ -217,9 +182,7 @@ proptest! {
         let base = build_dense_csr_budgeted(
             directed,
             node_ids.clone(),
-            &src,
-            &dst,
-            &weight,
+            replay(&src, &dst, &weight),
             Some(2),
             Some(4),
             Some(0),

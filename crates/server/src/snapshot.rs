@@ -20,7 +20,9 @@
 //! collector, no deferred free list.
 
 use moby_community::{louvain_csr, louvain_seeded_active, LouvainConfig, Partition};
-use moby_core::reassign::{FinalStation, SelectedGraphTable, SelectedNetwork, WindowOutcome};
+use moby_core::reassign::{
+    find_station, FinalStation, SelectedGraphTable, SelectedNetwork, WindowOutcome,
+};
 use moby_core::Result;
 use moby_data::trips::{AppendOutcome, TripBatch, WindowStart};
 use moby_geo::KdTree;
@@ -186,11 +188,11 @@ pub struct ServeSnapshot {
 }
 
 impl ServeSnapshot {
-    /// Look up a station by id (binary search over the sorted directory —
-    /// pre-existing and selected stations are each sorted, so fall back
-    /// to a linear scan only across the two runs).
+    /// Look up a station by id: a binary search over each of the
+    /// directory's two id-sorted runs (pre-existing, then selected) —
+    /// see [`find_station`].
     pub fn station(&self, id: NodeId) -> Option<&FinalStation> {
-        self.stations.iter().find(|s| s.id == id)
+        find_station(&self.stations, id)
     }
 }
 
@@ -415,6 +417,27 @@ mod tests {
             );
         }
         batch
+    }
+
+    #[test]
+    fn station_lookup_matches_a_linear_scan() {
+        let (_writer, handle) = SnapshotWriter::new(network(), ServeConfig::default());
+        let snap = handle.current();
+        let absent = snap.stations.iter().map(|s| s.id).max().unwrap() + 1;
+        for id in snap.stations.iter().map(|s| s.id).chain([absent]) {
+            // Same entry, not merely an equal one.
+            let linear = snap
+                .stations
+                .iter()
+                .find(|s| s.id == id)
+                .map(std::ptr::from_ref);
+            assert_eq!(
+                snap.station(id).map(std::ptr::from_ref),
+                linear,
+                "station {id}"
+            );
+        }
+        assert_eq!(snap.station(absent), None);
     }
 
     #[test]

@@ -29,13 +29,14 @@
 //!    [`data::trips::TripTable`] — dense `u32` station endpoints over one
 //!    shared sorted intern table, weekday/hour keys, weights. Graph
 //!    construction goes straight from those columns to a frozen graph via
-//!    [`graph::CsrBuilder`] / [`graph::build_dense_csr`]: **sort-merge
-//!    construction** (sort by row and target, merge adjacent duplicates
-//!    in insertion order) expressed as fixed-chunk passes on the
-//!    [`graph::par`] scheduler — zero per-edge hash operations, parallel
-//!    yet bit-identical at any thread count. One pass over the trip
-//!    table emits the edge lists for all three temporal granularities
-//!    ([`core::temporal::build_all_from_trips`]).
+//!    [`graph::build_dense_csr`] / [`graph::build_dense_csr_budgeted`]:
+//!    **sort-merge construction** (sort by row and target, merge adjacent
+//!    duplicates in insertion order) expressed as fixed-chunk passes on
+//!    the [`graph::par`] scheduler — zero per-edge hash operations,
+//!    parallel yet bit-identical at any thread count. All three temporal
+//!    granularities replay the trip table through one dense slot intern
+//!    ([`core::temporal::build_all_from_trips`]), and the budgeted entry
+//!    alone decides whether a build spills to disk.
 //! 2. **Freeze.** The product is an immutable [`graph::CsrGraph`]:
 //!    compressed sparse row adjacency (`offsets`/`targets`/`weights`,
 //!    rows sorted by target), an interned dense `NodeId → u32` table, and
