@@ -27,13 +27,32 @@ pub fn haversine_m(a: GeoPoint, b: GeoPoint) -> f64 {
 
 /// Haversine distance from raw radian coordinates, in metres.
 ///
-/// This variant is exposed so that hot loops (e.g. the HAC distance matrix)
-/// can pre-convert coordinates to radians once.
+/// This variant is exposed so that hot loops can pre-convert coordinates
+/// to radians once.
 #[inline]
 pub fn haversine_rad(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
+    haversine_rad_cos(lat1, lon1, lat1.cos(), lat2, lon2, lat2.cos())
+}
+
+/// Haversine distance from radian coordinates with each latitude's cosine
+/// precomputed, in metres.
+///
+/// This is the one place the formula is evaluated: [`haversine_m`] and
+/// [`haversine_rad`] call it, so a hot loop that caches `lat_rad()`,
+/// `lon_rad()` and `lat_rad().cos()` per point (the HAC neighbour pass)
+/// gets distances bit-identical to [`haversine_m`].
+#[inline]
+pub fn haversine_rad_cos(
+    lat1: f64,
+    lon1: f64,
+    cos_lat1: f64,
+    lat2: f64,
+    lon2: f64,
+    cos_lat2: f64,
+) -> f64 {
     let dlat = (lat1 - lat2) * 0.5;
     let dlon = (lon1 - lon2) * 0.5;
-    let h = dlat.sin().powi(2) + lat1.cos() * lat2.cos() * dlon.sin().powi(2);
+    let h = dlat.sin().powi(2) + cos_lat1 * cos_lat2 * dlon.sin().powi(2);
     // Clamp to guard against floating point drift pushing sqrt(h) above 1.
     2.0 * EARTH_RADIUS_M * h.sqrt().min(1.0).asin()
 }
@@ -109,6 +128,27 @@ mod tests {
         let a = p(53.35, -6.26);
         let b = p(53.29, -6.13);
         assert!((haversine_m(a, b) - haversine_m(b, a)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cached_cosine_variant_is_bit_identical() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let cached = |a: GeoPoint, b: GeoPoint| {
+            let (la, lb) = (a.lat_rad(), b.lat_rad());
+            haversine_rad_cos(la, a.lon_rad(), la.cos(), lb, b.lon_rad(), lb.cos())
+        };
+        for k in 0..2_000 {
+            let a = p(rng.gen_range(-90.0..90.0), rng.gen_range(-180.0..180.0));
+            // Half the pairs are metre-scale neighbours, half span the globe.
+            let b = if k % 2 == 0 {
+                destination_point(a, rng.gen_range(0.0..360.0), rng.gen_range(0.0..150.0))
+            } else {
+                p(rng.gen_range(-90.0..90.0), rng.gen_range(-180.0..180.0))
+            };
+            assert_eq!(cached(a, b).to_bits(), haversine_m(a, b).to_bits());
+            assert_eq!(cached(b, a).to_bits(), haversine_m(b, a).to_bits());
+        }
     }
 
     #[test]

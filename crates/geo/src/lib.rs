@@ -46,7 +46,8 @@ mod units;
 
 pub use bbox::BoundingBox;
 pub use distance::{
-    bearing_deg, destination_point, equirectangular_m, haversine_m, haversine_rad, EARTH_RADIUS_M,
+    bearing_deg, destination_point, equirectangular_m, haversine_m, haversine_rad,
+    haversine_rad_cos, EARTH_RADIUS_M,
 };
 pub use error::GeoError;
 pub use grid::GridIndex;
