@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the geospatial substrate: Haversine distance and the
-//! two spatial indexes that back the 50 m / 100 m / 250 m rule checks.
+//! k-d tree spatial index.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use moby_geo::{destination_point, haversine_m, GeoPoint, GridIndex, KdTree};
+use moby_geo::{destination_point, haversine_m, GeoPoint, KdTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,23 +68,6 @@ fn bench_indexes(c: &mut Criterion) {
                         .iter()
                         .map(|q| tree.nearest(*q).expect("non-empty").2)
                         .sum::<f64>()
-                })
-            },
-        );
-
-        let mut grid = GridIndex::new(200.0, 53.35).expect("valid cell");
-        for (i, p) in pts.iter().enumerate() {
-            grid.insert(*p, i);
-        }
-        group.bench_with_input(
-            BenchmarkId::new("grid_radius250_200q", n),
-            &n,
-            |bench, _| {
-                bench.iter(|| {
-                    queries
-                        .iter()
-                        .map(|q| grid.within_radius(*q, 250.0).expect("valid radius").len())
-                        .sum::<usize>()
                 })
             },
         );

@@ -26,13 +26,16 @@
 //!   ([`build_all_from_trips`], [`build_all_from_trips_spilled`] and
 //!   [`build_all_from_spool`]) runs one body over a replayable stream of
 //!   cleaned, interned trips. `GBasic` is built over the station table;
-//!   `GDay`/`GHour` intern their layered nodes over the dense candidate
-//!   slots `station_index * stride + key`, bounded by the station table
-//!   rather than the trip count. Each graph is frozen by
+//!   `GDay`/`GHour` intern their layered nodes in first-appearance order
+//!   over the dense candidate slots `station_index * stride + key`,
+//!   bounded by the station table rather than the trip count. Each graph
+//!   is frozen by
 //!   [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted),
 //!   which alone decides whether the build stays in memory or spills to
 //!   disk. No per-edge hash operation anywhere, and bit-identical at any
-//!   thread count × shard count × spill budget.
+//!   thread count × shard count × spill budget. The window eviction
+//!   ([`apply_evict_all`], [`apply_window_all`]) runs the same layered
+//!   intern over the surviving rows: build and evict share one intern.
 //! * **Store projection (compatibility / equivalence baseline)** —
 //!   [`build_temporal_graph`] re-scans the property store once per
 //!   granularity through the `WeightedGraph` hash-map builders and
@@ -417,15 +420,86 @@ fn build_all_dense(
     ])
 }
 
-/// One layered granularity. The node table is **first-appearance
-/// order** (src before dst within each trip) — the order the store
-/// projection and the delta/evict paths intern in. The intern runs over
-/// the **dense candidate space** `station_index * stride + key` (bounded
-/// by the station table, never by the trip count): a forward replay
-/// records each present candidate's first slot (`2k` for trip `k`'s src,
-/// `2k + 1` for its dst, set-if-absent = minimum), and ordering present
-/// candidates by that slot gives the first-appearance order exactly —
-/// slots are unique.
+/// The layered first-appearance intern — the one both the full build and
+/// the eviction run. Candidates are the dense slots
+/// `station_index * stride + key`, bounded by the station table rather
+/// than the trip count. Interning rows in order, src before dst, numbers
+/// each present candidate at its first appearance: the order the store
+/// projection and the delta path intern in. One array probe per endpoint;
+/// no hash, no sort.
+struct LayerIntern<'a> {
+    granularity: TemporalGranularity,
+    stations: &'a [NodeId],
+    /// Candidate slot → dense node index (`u32::MAX` = not seen yet).
+    dense: Vec<u32>,
+    /// Layered node ids, dense index = position.
+    node_ids: Vec<NodeId>,
+}
+
+impl<'a> LayerIntern<'a> {
+    fn new(stations: &'a [NodeId], granularity: TemporalGranularity) -> LayerIntern<'a> {
+        debug_assert!(
+            granularity != TemporalGranularity::TNull,
+            "TNull has no layers"
+        );
+        let n_cand = stations.len() * granularity.stride() as usize;
+        assert!(n_cand <= u32::MAX as usize, "CSR index space is u32");
+        LayerIntern {
+            granularity,
+            stations,
+            dense: vec![u32::MAX; n_cand],
+            node_ids: Vec::new(),
+        }
+    }
+
+    /// A row's layer key in this granularity.
+    #[inline]
+    fn key(&self, day: u8, hour: u8) -> u8 {
+        if self.granularity == TemporalGranularity::TDay {
+            day
+        } else {
+            hour
+        }
+    }
+
+    /// The candidate slot of dense station `s` in a row's layer.
+    #[inline]
+    fn slot(&self, s: u32, day: u8, hour: u8) -> usize {
+        s as usize * self.granularity.stride() as usize + usize::from(self.key(day, hour))
+    }
+
+    /// Intern one endpoint, returning its dense index.
+    #[inline]
+    fn intern_one(&mut self, s: u32, day: u8, hour: u8) -> u32 {
+        let slot = self.slot(s, day, hour);
+        if self.dense[slot] == u32::MAX {
+            self.dense[slot] = self.node_ids.len() as u32;
+            let stride = self.granularity.stride();
+            let key = slot as u64 % stride;
+            self.node_ids.push(self.stations[s as usize] * stride + key);
+        }
+        self.dense[slot]
+    }
+
+    /// Intern one row's endpoints, src first.
+    #[inline]
+    fn intern(&mut self, s: u32, d: u32, day: u8, hour: u8) -> (u32, u32) {
+        (self.intern_one(s, day, hour), self.intern_one(d, day, hour))
+    }
+
+    /// Dense indices of an already-interned row.
+    #[inline]
+    fn lookup(&self, s: u32, d: u32, day: u8, hour: u8) -> (u32, u32) {
+        (
+            self.dense[self.slot(s, day, hour)],
+            self.dense[self.slot(d, day, hour)],
+        )
+    }
+}
+
+/// One layered granularity: a replay through the [`LayerIntern`] fixes
+/// the node table, and a second replay streams the interned rows into
+/// the budgeted builder.
 fn build_layered(
     source: &dyn TripSource,
     granularity: TemporalGranularity,
@@ -434,55 +508,18 @@ fn build_layered(
     budget_mb: Option<u64>,
     spill_dir: Option<&Path>,
 ) -> crate::Result<CsrGraph> {
-    debug_assert!(
-        granularity != TemporalGranularity::TNull,
-        "TNull has no layers"
-    );
-    let stride = granularity.stride();
-    let pick_day = granularity == TemporalGranularity::TDay;
-    let stations = source.stations();
-    let n_cand = stations.len() * stride as usize;
-    const ABSENT: u64 = u64::MAX;
-    let mut first: Vec<u64> = vec![ABSENT; n_cand];
-    let mut k: u64 = 0;
+    let mut intern = LayerIntern::new(source.stations(), granularity);
     source.replay(&mut |s, d, day, hour, _| {
-        let key = usize::from(if pick_day { day } else { hour });
-        let cs = s as usize * stride as usize + key;
-        let cd = d as usize * stride as usize + key;
-        if first[cs] == ABSENT {
-            first[cs] = 2 * k;
-        }
-        if first[cd] == ABSENT {
-            first[cd] = 2 * k + 1;
-        }
-        k += 1;
+        intern.intern(s, d, day, hour);
     })?;
-    let mut order: Vec<(u64, u32)> = first
-        .iter()
-        .enumerate()
-        .filter(|&(_, &slot)| slot != ABSENT)
-        .map(|(cand, &slot)| (slot, cand as u32))
-        .collect();
-    order.sort_unstable();
-    let mut node_ids: Vec<NodeId> = Vec::with_capacity(order.len());
-    let mut dense: Vec<u32> = vec![u32::MAX; n_cand];
-    for (i, &(_, cand)) in order.iter().enumerate() {
-        let station_idx = cand as usize / stride as usize;
-        let key = u64::from(cand) % stride;
-        node_ids.push(stations[station_idx] * stride + key);
-        dense[cand as usize] = i as u32;
-    }
+    let node_ids = std::mem::take(&mut intern.node_ids);
     moby_graph::build_dense_csr_budgeted(
         false,
         node_ids,
         |f| {
             source.replay(&mut |s, d, day, hour, w| {
-                let key = usize::from(if pick_day { day } else { hour });
-                f(
-                    dense[s as usize * stride as usize + key],
-                    dense[d as usize * stride as usize + key],
-                    w,
-                )
+                let (s, d) = intern.lookup(s, d, day, hour);
+                f(s, d, w)
             })
         },
         shards,
@@ -606,15 +643,15 @@ pub fn apply_batch_all(
 /// `trips` is the table **after**
 /// [`TripTable::evict_before`](moby_data::trips::TripTable::evict_before)
 /// (or its pinned variant) and `outcome` is what that eviction returned.
-/// `GBasic` retreats through [`CsrEvict::from_dense`] over the surviving
-/// dense columns (the station intern stays sorted, so the compaction
-/// remap is monotone); `GDay`/`GHour` retreat through
-/// [`CsrEvict::retrench_by_id`] over the surviving layered edge lists —
-/// their first-appearance intern order is *not* stable under row removal
-/// (a layer first interned by an evicted trip moves to its next surviving
-/// appearance), so the retrench recomputes the builder's intern. Touched
-/// rows come straight from the evicted rows' endpoint columns; untouched
-/// rows copy bit-for-bit.
+/// Every graph retreats through [`CsrEvict::from_dense`]. `GBasic` takes
+/// the surviving dense columns as they are (the station intern stays
+/// sorted, so the compaction remap is monotone). `GDay`/`GHour` re-run
+/// the full build's layered intern over the surviving rows — their
+/// first-appearance order is *not* stable under row removal (a layer
+/// first interned by an evicted trip moves to its next surviving
+/// appearance), so the remap can permute. Touched rows come straight
+/// from the evicted rows' endpoint columns; untouched rows copy
+/// bit-for-bit.
 ///
 /// As with [`apply_batch_all`], the graphs are consumed and `basic` can
 /// supply an already-evicted station-level CSR so the pipeline advances
@@ -678,15 +715,13 @@ pub fn apply_evict_all(
     ]
 }
 
-/// The layered (`GDay`/`GHour`) half of an eviction: surviving layered
-/// edge lists come from one pass over the leading `rows_end` table rows
-/// (the surviving prefix — a trailing batch may already sit behind it),
-/// touched layered ids fold the evicted rows' temporal keys into their
-/// endpoints exactly as the build folded them in, and each graph retreats
-/// through [`CsrEvict::retrench_by_id`]. Layer maps re-decode from the
-/// new tables — eviction can permute a first-appearance intern (see
-/// [`apply_evict_all`]), and the decode is exactly what a full rebuild
-/// would produce.
+/// The layered (`GDay`/`GHour`) half of an eviction. One pass over the
+/// surviving prefix `0..rows_end` of the table's dense columns (a
+/// trailing batch may already sit behind it) runs both granularities'
+/// [`LayerIntern`] — the full build's intern, so the new node tables and
+/// dense edge columns are exactly a rebuild's — and each graph retreats
+/// through [`CsrEvict::from_dense`] with the permuting `new_to_old` that
+/// intern implies.
 fn evict_layered_pair(
     day_t: TemporalGraph,
     hour_t: TemporalGraph,
@@ -695,49 +730,71 @@ fn evict_layered_pair(
     outcome: &EvictOutcome,
     threads: Option<usize>,
 ) -> (TemporalGraph, TemporalGraph) {
-    let day_stride = TemporalGranularity::TDay.stride();
-    let hour_stride = TemporalGranularity::THour.stride();
-
+    let mut day_intern = LayerIntern::new(trips.station_ids(), TemporalGranularity::TDay);
+    let mut hour_intern = LayerIntern::new(trips.station_ids(), TemporalGranularity::THour);
     let (src, dst) = (trips.src(), trips.dst());
-    let (day, hour, weight) = (trips.day(), trips.hour(), trips.weights());
-    let mut day_edges = Vec::with_capacity(rows_end);
-    let mut hour_edges = Vec::with_capacity(rows_end);
+    let (day, hour) = (trips.day(), trips.hour());
+    let mut day_cols = (Vec::with_capacity(rows_end), Vec::with_capacity(rows_end));
+    let mut hour_cols = (Vec::with_capacity(rows_end), Vec::with_capacity(rows_end));
     for k in 0..rows_end {
-        let s = trips.station_id(src[k]);
-        let d = trips.station_id(dst[k]);
-        let w = weight[k];
-        let dk = day[k] as u64;
-        day_edges.push((s * day_stride + dk, d * day_stride + dk, w));
-        let hk = hour[k] as u64;
-        hour_edges.push((s * hour_stride + hk, d * hour_stride + hk, w));
+        let (s, d) = day_intern.intern(src[k], dst[k], day[k], hour[k]);
+        day_cols.0.push(s);
+        day_cols.1.push(d);
+        let (s, d) = hour_intern.intern(src[k], dst[k], day[k], hour[k]);
+        hour_cols.0.push(s);
+        hour_cols.1.push(d);
     }
-    let mut day_touched = Vec::with_capacity(2 * outcome.evicted_rows());
-    let mut hour_touched = Vec::with_capacity(2 * outcome.evicted_rows());
-    for k in 0..outcome.evicted_rows() {
-        let (s, d) = (outcome.evicted_src[k], outcome.evicted_dst[k]);
-        let dk = outcome.evicted_day[k] as u64;
-        let hk = outcome.evicted_hour[k] as u64;
-        day_touched.push(s * day_stride + dk);
-        day_touched.push(d * day_stride + dk);
-        hour_touched.push(s * hour_stride + hk);
-        hour_touched.push(d * hour_stride + hk);
-    }
-    day_touched.sort_unstable();
-    day_touched.dedup();
-    hour_touched.sort_unstable();
-    hour_touched.dedup();
-
-    let day_evict = CsrEvict::retrench_by_id(&day_t.csr, day_edges, day_touched);
-    let day_csr = day_t.csr.apply_evict(&day_evict, threads);
-    let hour_evict = CsrEvict::retrench_by_id(&hour_t.csr, hour_edges, hour_touched);
-    let hour_csr = hour_t.csr.apply_evict(&hour_evict, threads);
-
-    let day_map = decode_layer_map(&day_csr, day_stride);
-    let hour_map = decode_layer_map(&hour_csr, hour_stride);
+    let weight = &trips.weights()[..rows_end];
     (
-        TemporalGraph::from_csr(TemporalGranularity::TDay, day_csr, Some(day_map)),
-        TemporalGraph::from_csr(TemporalGranularity::THour, hour_csr, Some(hour_map)),
+        retreat_layer(day_t, day_intern, &day_cols, weight, outcome, threads),
+        retreat_layer(hour_t, hour_intern, &hour_cols, weight, outcome, threads),
     )
+}
+
+/// Retreat one layered graph to its interned survivors. Touched ids fold
+/// the evicted rows' keys into their endpoints exactly as the build
+/// folded them in; `new_to_old` is one lookup per surviving node, and the
+/// layer map re-decodes from the new table (eviction can permute a
+/// first-appearance intern).
+fn retreat_layer(
+    old: TemporalGraph,
+    intern: LayerIntern,
+    (src, dst): &(Vec<u32>, Vec<u32>),
+    weight: &[f64],
+    outcome: &EvictOutcome,
+    threads: Option<usize>,
+) -> TemporalGraph {
+    let granularity = intern.granularity;
+    let stride = granularity.stride();
+    let mut touched: Vec<NodeId> = Vec::with_capacity(2 * outcome.evicted_rows());
+    for k in 0..outcome.evicted_rows() {
+        let key = u64::from(intern.key(outcome.evicted_day[k], outcome.evicted_hour[k]));
+        touched.push(outcome.evicted_src[k] * stride + key);
+        touched.push(outcome.evicted_dst[k] * stride + key);
+    }
+    touched.sort_unstable();
+    touched.dedup();
+    let new_to_old = intern
+        .node_ids
+        .iter()
+        .map(|&id| {
+            old.csr
+                .index_of(id)
+                .expect("surviving layered node known to the graph")
+        })
+        .collect();
+    let evict = CsrEvict::from_dense(
+        false,
+        intern.node_ids,
+        Some(new_to_old),
+        touched,
+        src,
+        dst,
+        weight,
+    );
+    let csr = old.csr.apply_evict(&evict, threads);
+    let map = decode_layer_map(&csr, stride);
+    TemporalGraph::from_csr(granularity, csr, Some(map))
 }
 
 /// Carry all three temporal graphs through one **window step** — the
@@ -1034,6 +1091,40 @@ mod tests {
         let shared = apply_evict_all(base, &trips, &outcome, Some(want[0].csr.clone()), Some(1));
         assert_eq!(shared[0].csr, want[0].csr);
         assert_eq!(shared[2].csr, want[2].csr);
+    }
+
+    #[test]
+    fn window_step_moves_a_layer_node_whose_first_trip_expired() {
+        use crate::reassign::WindowOutcome;
+        use moby_data::trips::WindowStart;
+        // Row 0 first interns (1, 8h) and (2, 8h); it expires, but row 2
+        // still uses both, so a rebuild interns them after (3, 5h).
+        let mut trips = TripTable::new(vec![1, 2, 3]);
+        for (s, d, day, hour) in [
+            (0u32, 1u32, 0u8, 8u8),
+            (2, 2, 2, 5),
+            (1, 0, 3, 8),
+            (0, 2, 4, 9),
+        ] {
+            trips.push_keyed(s, d, day, hour, 1.0);
+        }
+        let base = build_all_from_trips(&trips, None, Some(1));
+        assert_eq!(base[2].csr.node_ids()[..2], [32 + 8, 2 * 32 + 8]);
+        let evicted = trips.evict_before_pinned(WindowStart::new(1, 0));
+        assert_eq!(evicted.evicted_rows(), 1);
+        let mut batch = TripBatch::new();
+        batch.push_keyed(3, 1, 5, 8, 1.0);
+        let appended = trips.append_batch(&batch);
+        let outcome = WindowOutcome { evicted, appended };
+        let want = build_all_from_trips(&trips, None, Some(1));
+        assert_eq!(want[2].csr.node_ids()[0], 3 * 32 + 5, "rebuild permutes");
+        for threads in [Some(1), Some(2), Some(4)] {
+            let got = apply_window_all(base.clone(), &trips, &outcome, None, threads);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.csr, w.csr, "{:?} diverged from rebuild", g.granularity);
+                assert_eq!(g.layer_map, w.layer_map, "{:?} map", g.granularity);
+            }
+        }
     }
 
     #[test]

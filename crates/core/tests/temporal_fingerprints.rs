@@ -1,33 +1,46 @@
 //! Pinned fingerprints of the three temporal graphs (`GBasic`, `GDay`,
-//! `GHour`) at two seeded synthetic datasets.
+//! `GHour`) at two seeded synthetic datasets, and after a fixed chain of
+//! hourly window steps.
 //!
-//! The values were captured from the construction code as it stood
+//! The build values were captured from the construction code as it stood
 //! before the in-memory and spilled temporal builders merged into one
 //! dense-intern path. They are the evidence that the merge changed no
 //! bit: every full build entry — in memory, budgeted down to a forced
 //! spill, and streamed from a disk spool — must still hash to them.
+//!
+//! The window-chain value was captured from the eviction code as it stood
+//! before the layered eviction moved onto the build's dense slot intern:
+//! the incrementally advanced graphs must still hash to it, at any thread
+//! count, and equal a full rebuild over the final table.
 //!
 //! The fingerprint is FNV-1a-64 over node ids, offsets, targets, weight
 //! bits, total-weight bits and edge counts, in granularity order (the
 //! same hash `bench_smoke` prints for its spill tier).
 
 use moby_core::candidate::build_candidate_network;
-use moby_core::reassign::build_selected_network;
+use moby_core::reassign::{build_selected_network, SelectedNetwork};
 use moby_core::selection::select_stations;
 use moby_core::temporal::{
-    build_all_from_spool, build_all_from_trips, build_all_from_trips_spilled, TemporalGraph,
+    apply_window_all, build_all_from_spool, build_all_from_trips, build_all_from_trips_spilled,
+    TemporalGraph,
 };
 use moby_core::ExpansionConfig;
 use moby_data::clean::clean_dataset;
 use moby_data::spool::TripSpool;
 use moby_data::synth::{generate, SynthConfig};
 use moby_data::timeparse::Timestamp;
-use moby_data::trips::TripTable;
+use moby_data::trips::{TripBatch, TripTable, WindowStart};
 
 /// Fingerprint at `SynthConfig::small_test()` (seed 7).
 const SMALL_TEST: u64 = 0x31c4_c16b_c0fb_38cc;
 /// Fingerprint at the bench's medium tier (seed 42, 15 000 rentals).
 const MEDIUM: u64 = 0xa5f7_6f1a_c552_10f2;
+
+/// Fingerprint after [`WINDOW_STEPS`] hourly window steps over the medium
+/// tier.
+const MEDIUM_WINDOW_CHAIN: u64 = 0x2d34_bdc8_ff18_a205;
+/// Hourly window steps in the pinned chain.
+const WINDOW_STEPS: usize = 24;
 
 /// The bench's medium tier: the paper-scale generator cut to 15 000
 /// rentals over nine months.
@@ -43,14 +56,19 @@ fn medium() -> SynthConfig {
     }
 }
 
-/// The selected network's trip table: the rows every temporal build
-/// consumes in the pipeline.
-fn selected_trips(synth: &SynthConfig) -> TripTable {
+/// The pipeline's selected network for a synthetic dataset.
+fn selected_network(synth: &SynthConfig) -> SelectedNetwork {
     let ds = clean_dataset(&generate(synth)).dataset;
     let cfg = ExpansionConfig::default();
     let net = build_candidate_network(&ds, &cfg).unwrap();
     let sel = select_stations(&net, &cfg).unwrap();
-    build_selected_network(&ds, &net, &sel).unwrap().trips
+    build_selected_network(&ds, &net, &sel).unwrap()
+}
+
+/// The selected network's trip table: the rows every temporal build
+/// consumes in the pipeline.
+fn selected_trips(synth: &SynthConfig) -> TripTable {
+    selected_network(synth).trips
 }
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
@@ -123,4 +141,67 @@ fn small_test_builds_match_the_pinned_fingerprint() {
 #[test]
 fn medium_builds_match_the_pinned_fingerprint() {
     check("medium", &medium(), MEDIUM);
+}
+
+/// One batch per window step, replayed from the base table's rows: step
+/// `k` (window start at weekly slot `k`) draws about one hour's share of
+/// rows, uniformly by a fixed LCG, from those whose slot is at or after
+/// `k`, so every replayed row outlives the step that ingests it.
+fn replay_batches(trips: &TripTable, steps: usize) -> Vec<TripBatch> {
+    let slot = |k: usize| usize::from(trips.day()[k]) * 24 + usize::from(trips.hour()[k]);
+    let size = trips.len() / (7 * 24);
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    (1..=steps)
+        .map(|step| {
+            let pool: Vec<usize> = (0..trips.len()).filter(|&k| slot(k) >= step).collect();
+            let mut batch = TripBatch::with_capacity(size);
+            for _ in 0..size {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let k = pool[(x >> 33) as usize % pool.len()];
+                batch.push_keyed(
+                    trips.station_id(trips.src()[k]),
+                    trips.station_id(trips.dst()[k]),
+                    trips.day()[k],
+                    trips.hour()[k],
+                    trips.weights()[k],
+                );
+            }
+            batch
+        })
+        .collect()
+}
+
+#[test]
+fn medium_window_chain_matches_the_pinned_fingerprint() {
+    let base = selected_network(&medium());
+    let batches = replay_batches(&base.trips, WINDOW_STEPS);
+    for threads in [1, 2, 4] {
+        let threads = Some(threads);
+        let mut net = base.clone();
+        let mut temporals = build_all_from_trips(&net.trips, None, threads);
+        for (step, batch) in batches.iter().enumerate() {
+            let slot = step + 1;
+            let window = WindowStart::new((slot / 24) as u8, (slot % 24) as u8);
+            let outcome = net.advance_window(batch, window, threads).unwrap();
+            assert!(!outcome.evicted.is_noop(), "step {slot} evicts nothing");
+            temporals = apply_window_all(temporals, &net.trips, &outcome, None, threads);
+        }
+        let rebuilt = build_all_from_trips(&net.trips, None, threads);
+        for (got, want) in temporals.iter().zip(&rebuilt) {
+            assert_eq!(
+                got.csr, want.csr,
+                "{:?} diverged from rebuild",
+                got.granularity
+            );
+            assert_eq!(got.layer_map, want.layer_map, "{:?} map", got.granularity);
+        }
+        assert_eq!(fingerprint(&rebuilt), fingerprint(&temporals));
+        assert_eq!(
+            fingerprint(&temporals),
+            MEDIUM_WINDOW_CHAIN,
+            "window chain drifted at {threads:?} threads"
+        );
+    }
 }

@@ -5,9 +5,8 @@ use serde::{Deserialize, Serialize};
 
 /// An axis-aligned latitude/longitude bounding box.
 ///
-/// Used by the data-cleaning pipeline ("locations outside Dublin") and as
-/// the coarse filter in the spatial indexes. The box never crosses the
-/// antimeridian — Dublin comfortably does not.
+/// Used by the data-cleaning pipeline ("locations outside Dublin"). The
+/// box never crosses the antimeridian — Dublin comfortably does not.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BoundingBox {
     min_lat: f64,

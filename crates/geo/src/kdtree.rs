@@ -1,10 +1,9 @@
 //! A 2-d k-d tree over geographic points.
 //!
-//! The k-d tree complements the [`crate::GridIndex`]: it supports exact
-//! k-nearest-neighbour queries without tuning a cell size, which the
-//! selection pipeline uses when ranking candidate stations against their
-//! spatial context (e.g. "distance to the nearest pre-existing station" in
-//! Algorithm 1, line 6).
+//! The k-d tree supports exact k-nearest-neighbour queries without tuning
+//! a cell size, which the selection pipeline uses when ranking candidate
+//! stations against their spatial context (e.g. "distance to the nearest
+//! pre-existing station" in Algorithm 1, line 6).
 //!
 //! Points are stored in a planar equirectangular projection centred on the
 //! dataset, which keeps splitting balanced; candidate distances are refined

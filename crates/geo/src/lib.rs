@@ -16,9 +16,9 @@
 //!   candidate stations to the closest fixed station.
 //!
 //! This crate provides those primitives from scratch — no external
-//! geospatial dependency — together with two spatial indexes (a uniform
-//! grid and a 2-d k-d tree) so that nearest-neighbour queries over tens of
-//! thousands of locations stay fast.
+//! geospatial dependency — together with a 2-d k-d tree so that
+//! nearest-neighbour queries over tens of thousands of locations stay
+//! fast.
 //!
 //! ## Quick example
 //!
@@ -38,7 +38,6 @@
 mod bbox;
 mod distance;
 mod error;
-mod grid;
 mod kdtree;
 mod point;
 mod polygon;
@@ -50,7 +49,6 @@ pub use distance::{
     haversine_rad_cos, EARTH_RADIUS_M,
 };
 pub use error::GeoError;
-pub use grid::GridIndex;
 pub use kdtree::KdTree;
 pub use point::GeoPoint;
 pub use polygon::{dublin_boundary, dublin_land_mask, Polygon};

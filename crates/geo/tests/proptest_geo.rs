@@ -1,8 +1,6 @@
 //! Property-based tests for the geospatial primitives.
 
-use moby_geo::{
-    destination_point, equirectangular_m, haversine_m, BoundingBox, GeoPoint, GridIndex, KdTree,
-};
+use moby_geo::{destination_point, equirectangular_m, haversine_m, BoundingBox, GeoPoint, KdTree};
 use proptest::prelude::*;
 
 /// Strategy producing points inside the greater Dublin bounding box, the
@@ -95,33 +93,6 @@ proptest! {
             .map(|p| haversine_m(query, *p))
             .fold(f64::INFINITY, f64::min);
         prop_assert!((got - want).abs() < 1e-6);
-    }
-
-    #[test]
-    fn grid_within_radius_equals_brute_force(
-        points in prop::collection::vec(dublin_point(), 1..120),
-        query in dublin_point(),
-        radius in 10.0f64..5_000.0,
-    ) {
-        let mut grid = GridIndex::new(250.0, 53.35).unwrap();
-        for (i, p) in points.iter().enumerate() {
-            grid.insert(*p, i);
-        }
-        let mut got: Vec<usize> = grid
-            .within_radius(query, radius)
-            .unwrap()
-            .iter()
-            .map(|(_, i, _)| **i)
-            .collect();
-        got.sort_unstable();
-        let mut want: Vec<usize> = points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| haversine_m(query, **p) <= radius)
-            .map(|(i, _)| i)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
     }
 
     #[test]

@@ -41,15 +41,17 @@
 //! ## Node-table compaction
 //!
 //! Sorted dense tables (the trip table's station intern) compact to a
-//! sorted **subset**, so the remap is monotone ([`CsrEvict::from_dense`]).
-//! First-appearance-interned graphs (the layered temporal graphs) are
-//! subtler: a node first interned by an evicted edge but still referenced
-//! later *moves* to its new first appearance, so the rebuild's table is a
-//! **permuted** subset. [`CsrEvict::retrench_by_id`] recomputes the
-//! builder's intern over the surviving list; untouched rows then remap
-//! *and re-sort* their (unique-target) entries, which reproduces the
-//! rebuild's sorted rows because per-target merged weights are unaffected
-//! by the order of *other* targets.
+//! sorted **subset**, so the remap is monotone. First-appearance-interned
+//! graphs (the layered temporal graphs) are subtler: a node first interned
+//! by an evicted edge but still referenced later *moves* to its new first
+//! appearance, so the rebuild's table is a **permuted** subset. The caller
+//! re-runs its own intern over the survivors (for the layered graphs,
+//! `moby_core::temporal`'s dense slot intern, the one its full build
+//! uses) and passes the resulting injective remap to
+//! [`CsrEvict::from_dense`]. Untouched rows then remap *and re-sort* their
+//! (unique-target) entries, which reproduces the rebuild's sorted rows
+//! because per-target merged weights are unaffected by the order of
+//! *other* targets.
 
 use crate::build::{half_edges, HalfEdges};
 use crate::csr::CsrParts;
@@ -58,17 +60,14 @@ use crate::{par, CsrGraph, NodeId};
 /// An eviction prepared for application to a frozen [`CsrGraph`] — the
 /// node table and full edge columns *after* the removal, plus the set of
 /// touched nodes whose rows must be re-folded. Build one with
-/// [`CsrEvict::from_dense`] (sorted dense intern tables, like
-/// `moby_data`'s trip table) or [`CsrEvict::retrench_by_id`]
-/// (first-appearance-interned graphs, like the layered temporal graphs),
-/// then apply it with [`CsrGraph::apply_evict`].
+/// [`CsrEvict::from_dense`], then apply it with [`CsrGraph::apply_evict`].
 #[derive(Debug, Clone)]
 pub struct CsrEvict {
     directed: bool,
     new_node_ids: Vec<NodeId>,
     /// For each new dense index, the old dense index. `None` means the
-    /// node table is unchanged. Monotone for [`CsrEvict::from_dense`],
-    /// possibly permuting for [`CsrEvict::retrench_by_id`].
+    /// node table is unchanged. Injective; monotone for a sorted intern,
+    /// possibly permuting for a first-appearance one.
     new_to_old: Option<Vec<u32>>,
     /// External ids of the nodes incident to an evicted edge — exactly
     /// the rows whose merged weights must be re-folded.
@@ -87,12 +86,13 @@ impl CsrEvict {
     ///
     /// `new_node_ids` is the node table *after* the eviction (dense index
     /// = position); `new_to_old` maps each surviving dense index to its
-    /// position in the old table and must be strictly increasing — the
-    /// sorted-subset compaction a sorted intern table produces (pass
-    /// `None` when no node was dropped). `src`/`dst`/`weight` are the
-    /// **full surviving** edge columns in the new index space — the
-    /// re-fold needs every touched row's surviving bucket, and the
-    /// total-weight fold needs the whole column. `touched` lists the
+    /// position in the old table and must be injective — monotone for the
+    /// sorted-subset compaction of a sorted intern table, permuting when a
+    /// first-appearance intern moved a node (pass `None` when the table is
+    /// unchanged). `src`/`dst`/`weight` are the **full surviving** edge
+    /// columns in the new index space — the re-fold needs every touched
+    /// row's surviving bucket, and the total-weight fold needs the whole
+    /// column. `touched` lists the
     /// external ids incident to at least one evicted edge (a superset is
     /// allowed: re-folding an unchanged row reproduces its bits).
     pub fn from_dense(
@@ -116,10 +116,13 @@ impl CsrEvict {
         }
         if let Some(map) = &new_to_old {
             assert_eq!(map.len(), n_new, "new_to_old must cover every new node");
-            assert!(
-                map.windows(2).all(|w| w[0] < w[1]),
-                "new_to_old must be strictly increasing"
-            );
+            let mut seen = vec![false; map.iter().max().map_or(0, |&m| m as usize + 1)];
+            for &ou in map {
+                assert!(
+                    !std::mem::replace(&mut seen[ou as usize], true),
+                    "new_to_old must be injective"
+                );
+            }
         }
         for &w in weight {
             debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
@@ -132,77 +135,6 @@ impl CsrEvict {
             src: src.to_vec(),
             dst: dst.to_vec(),
             weight: weight.to_vec(),
-        }
-    }
-
-    /// An eviction against a **first-appearance interned** graph (one
-    /// built by [`CsrBuilder`](crate::CsrBuilder)): re-runs the builder's
-    /// `(id, first-slot)` sort+dedup intern over the surviving external-id
-    /// edge list, so the new node table — including the permutation of
-    /// nodes whose first appearance was evicted — matches a
-    /// [`CsrBuilder`](crate::CsrBuilder) rebuild exactly. `touched` lists
-    /// the external ids incident to an evicted edge; every one must be
-    /// known to `graph`.
-    ///
-    /// Weights must already satisfy the validated-weights contract
-    /// (finite, non-negative) — surviving edges come from sources that
-    /// validated at the boundary, so unlike the builder there is nothing
-    /// left to filter.
-    pub fn retrench_by_id<I>(graph: &CsrGraph, surviving: I, touched: Vec<NodeId>) -> CsrEvict
-    where
-        I: IntoIterator<Item = (NodeId, NodeId, f64)>,
-    {
-        let edges: Vec<(NodeId, NodeId, f64)> = surviving.into_iter().collect();
-        // The builder's intern: (id, first-slot) sort + dedup, ordered by
-        // slot (src before dst within each edge, no seeds).
-        let mut pairs: Vec<(NodeId, u64)> = Vec::with_capacity(2 * edges.len());
-        for (k, &(s, d, w)) in edges.iter().enumerate() {
-            debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
-            pairs.push((s, 2 * k as u64));
-            pairs.push((d, 2 * k as u64 + 1));
-        }
-        pairs.sort_unstable();
-        pairs.dedup_by_key(|p| p.0);
-        let mut order: Vec<(u64, NodeId)> = pairs.iter().map(|&(id, slot)| (slot, id)).collect();
-        order.sort_unstable();
-        let new_node_ids: Vec<NodeId> = order.iter().map(|&(_, id)| id).collect();
-
-        let mut lookup: Vec<(NodeId, u32)> = new_node_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
-        lookup.sort_unstable();
-        let resolve = |id: NodeId| -> u32 {
-            let at = lookup
-                .binary_search_by_key(&id, |&(id, _)| id)
-                .expect("endpoint interned");
-            lookup[at].1
-        };
-        let mut src = Vec::with_capacity(edges.len());
-        let mut dst = Vec::with_capacity(edges.len());
-        let mut weight = Vec::with_capacity(edges.len());
-        for &(s, d, w) in &edges {
-            src.push(resolve(s));
-            dst.push(resolve(d));
-            weight.push(w);
-        }
-        let new_to_old = new_node_ids
-            .iter()
-            .map(|&id| {
-                graph
-                    .index_of(id)
-                    .expect("surviving endpoint known to the graph")
-            })
-            .collect();
-        CsrEvict {
-            directed: graph.is_directed(),
-            new_node_ids,
-            new_to_old: Some(new_to_old),
-            touched,
-            src,
-            dst,
-            weight,
         }
     }
 
@@ -693,7 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn retrench_matches_builder_rebuild_with_permuted_intern() {
+    fn permuting_evict_matches_builder_rebuild() {
         // Node 5 is first interned by the first (evicted) edge and only
         // referenced again later: the rebuild's table permutes. Node 9
         // disappears entirely.
@@ -716,10 +648,23 @@ mod tests {
                 b.build()
             };
             let base = mk(&edges);
-            let survivors = &edges[1..];
-            let want = mk(survivors);
+            let want = mk(&edges[1..]);
             assert_eq!(want.node_ids(), &[7, 8, 5]);
-            let evict = CsrEvict::retrench_by_id(&base, survivors.iter().copied(), vec![5, 9]);
+            let new_to_old: Vec<u32> = want
+                .node_ids()
+                .iter()
+                .map(|&id| base.index_of(id).unwrap())
+                .collect();
+            assert_eq!(new_to_old, [2, 3, 0]);
+            let evict = CsrEvict::from_dense(
+                directed,
+                want.node_ids().to_vec(),
+                Some(new_to_old),
+                vec![5, 9],
+                &[0, 1, 0],
+                &[1, 2, 0],
+                &[2.0, 0.25, 1.0],
+            );
             for threads in [1usize, 2, 4] {
                 assert_identical(&base.apply_evict(&evict, Some(threads)), &want);
             }
@@ -727,12 +672,20 @@ mod tests {
     }
 
     #[test]
-    fn retrench_everything_empties_the_graph() {
+    fn evict_everything_from_a_first_appearance_intern_empties_the_graph() {
         let mut b = CsrBuilder::undirected();
         b.push(1, 2, 1.0);
         b.push(2, 3, 2.0);
         let base = b.build();
-        let evict = CsrEvict::retrench_by_id(&base, std::iter::empty(), vec![1, 2, 3]);
+        let evict = CsrEvict::from_dense(
+            false,
+            Vec::new(),
+            Some(Vec::new()),
+            vec![1, 2, 3],
+            &[],
+            &[],
+            &[],
+        );
         let got = base.apply_evict(&evict, Some(2));
         assert!(got.is_empty());
         assert_eq!(got.total_weight(), 0.0);
@@ -813,12 +766,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn non_monotone_dense_map_panics() {
+    #[should_panic(expected = "injective")]
+    fn non_injective_dense_map_panics() {
         CsrEvict::from_dense(
             false,
             vec![1, 2],
-            Some(vec![1, 0]),
+            Some(vec![1, 1]),
             Vec::new(),
             &[],
             &[],
