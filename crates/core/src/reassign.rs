@@ -103,11 +103,11 @@ pub struct SelectedNetwork {
     /// graph the pipeline builds.
     pub trips: TripTable,
     /// Frozen directed trip graph, built straight from
-    /// [`SelectedNetwork::trips`] by sort-merge — shared by every
+    /// [`SelectedNetwork::trips`] by the columnar build — shared by every
     /// downstream consumer; nothing re-freezes it.
     pub directed: CsrGraph,
     /// Frozen undirected trip graph (`GBasic` before temporal splitting),
-    /// also built by sort-merge from the trip table.
+    /// also built by the columnar build from the trip table.
     pub undirected: CsrGraph,
     /// Table III counts.
     pub table: SelectedGraphTable,
@@ -499,7 +499,7 @@ pub fn build_selected_network(
             .map_err(|e| CoreError::Internal(format!("failed to add trip edge: {e}")))?;
     }
 
-    // --- Frozen trip graphs, built by columnar sort-merge straight from
+    // --- Frozen trip graphs, built by the columnar build straight from
     //     the dense trip columns (one shared station-intern table; no
     //     hash-map builder, no re-interning). ---
     let directed = build_dense_csr(

@@ -16,6 +16,14 @@
 //! The fingerprint is FNV-1a-64 over node ids, offsets, targets, weight
 //! bits, total-weight bits and edge counts, in granularity order (the
 //! same hash `bench_smoke` prints for its spill tier).
+//!
+//! The city-tier value and the selected network's `directed` /
+//! `undirected` values were captured from the construction code as it
+//! stood before the sort-free row packing replaced the per-row
+//! sort-merge. The selected-network hash also covers the in-adjacency and
+//! the cached per-node degrees. The city pin builds 1M trips, so it is
+//! `#[ignore]`d and runs in release only:
+//! `cargo test --release -p moby-core --test temporal_fingerprints -- --include-ignored`.
 
 use moby_core::candidate::build_candidate_network;
 use moby_core::reassign::{build_selected_network, SelectedNetwork};
@@ -25,16 +33,23 @@ use moby_core::temporal::{
     TemporalGraph,
 };
 use moby_core::ExpansionConfig;
-use moby_data::clean::clean_dataset;
+use moby_data::clean::{clean_dataset, clean_trip_stream};
 use moby_data::spool::TripSpool;
-use moby_data::synth::{generate, SynthConfig};
+use moby_data::synth::{city_trip_stream, generate, CityConfig, SynthConfig};
 use moby_data::timeparse::Timestamp;
 use moby_data::trips::{TripBatch, TripTable, WindowStart};
+use moby_graph::CsrGraph;
 
 /// Fingerprint at `SynthConfig::small_test()` (seed 7).
 const SMALL_TEST: u64 = 0x31c4_c16b_c0fb_38cc;
 /// Fingerprint at the bench's medium tier (seed 42, 15 000 rentals).
 const MEDIUM: u64 = 0xa5f7_6f1a_c552_10f2;
+
+/// Fingerprint at the city tier ([`city`]).
+const CITY: u64 = 0xd2e0_cfef_efdc_999a;
+/// Fingerprint of the medium tier's selected `directed` and `undirected`
+/// CSRs, in that order ([`csr_fingerprint`]).
+const MEDIUM_SELECTED: u64 = 0xe0f5_d740_eebe_1b49;
 
 /// Fingerprint after [`WINDOW_STEPS`] hourly window steps over the medium
 /// tier.
@@ -53,6 +68,15 @@ fn medium() -> SynthConfig {
         start: Timestamp::from_ymd_hms(2020, 6, 1, 0, 0, 0).expect("valid"),
         end: Timestamp::from_ymd_hms(2021, 2, 28, 23, 59, 59).expect("valid"),
         ..SynthConfig::paper_scale()
+    }
+}
+
+/// The city tier with its trip count set here, so `MOBY_CITY_TRIPS`
+/// cannot move the pin.
+fn city() -> CityConfig {
+    CityConfig {
+        trips: 1_000_000,
+        ..SynthConfig::city()
     }
 }
 
@@ -102,6 +126,34 @@ fn fingerprint(temporals: &[TemporalGraph]) -> u64 {
     h
 }
 
+/// FNV-1a-64 of one frozen graph's every stored array: node ids, out and
+/// in adjacency, cached per-node degrees, total weight and edge count.
+fn csr_fingerprint(mut h: u64, g: &CsrGraph) -> u64 {
+    for &id in g.node_ids() {
+        h = fnv1a(h, &id.to_le_bytes());
+    }
+    for &o in g.offsets().iter().chain(g.in_offsets()) {
+        h = fnv1a(h, &o.to_le_bytes());
+    }
+    for v in 0..g.node_count() {
+        let (targets, weights) = g.row(v);
+        let (in_targets, in_weights) = g.in_row(v);
+        for (&t, &w) in targets
+            .iter()
+            .zip(weights)
+            .chain(in_targets.iter().zip(in_weights))
+        {
+            h = fnv1a(h, &t.to_le_bytes());
+            h = fnv1a(h, &w.to_bits().to_le_bytes());
+        }
+        for x in [g.strength(v), g.weighted_degree(v), g.self_loop(v)] {
+            h = fnv1a(h, &x.to_bits().to_le_bytes());
+        }
+    }
+    h = fnv1a(h, &g.total_weight().to_bits().to_le_bytes());
+    fnv1a(h, &(g.edge_count() as u64).to_le_bytes())
+}
+
 /// The same rows as a disk spool (cleaned trips are unit-weight, which is
 /// all a spool stores).
 fn spool_of(trips: &TripTable) -> TripSpool {
@@ -141,6 +193,35 @@ fn small_test_builds_match_the_pinned_fingerprint() {
 #[test]
 fn medium_builds_match_the_pinned_fingerprint() {
     check("medium", &medium(), MEDIUM);
+}
+
+#[test]
+fn medium_selected_network_csrs_match_the_pinned_fingerprint() {
+    let net = selected_network(&medium());
+    assert!(net.directed.is_directed() && !net.undirected.is_directed());
+    let h = csr_fingerprint(0xcbf2_9ce4_8422_2325, &net.directed);
+    let h = csr_fingerprint(h, &net.undirected);
+    assert_eq!(h, MEDIUM_SELECTED, "selected-network CSRs drifted");
+}
+
+#[test]
+#[ignore = "1M-trip city build: run in release with --include-ignored"]
+fn city_builds_match_the_pinned_fingerprint() {
+    let config = city();
+    let rows = city_trip_stream(&config);
+    let (trips, _) = clean_trip_stream(config.station_ids(), config.trips as usize, rows);
+    for budget_mb in [None, Some(0)] {
+        for shards in [1, 3] {
+            let built =
+                build_all_from_trips_spilled(&trips, None, Some(shards), Some(2), budget_mb, None)
+                    .unwrap();
+            assert_eq!(
+                fingerprint(&built),
+                CITY,
+                "city build drifted at budget {budget_mb:?}, {shards} shards"
+            );
+        }
+    }
 }
 
 /// One batch per window step, replayed from the base table's rows: step

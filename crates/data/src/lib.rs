@@ -23,7 +23,7 @@
 //!   summaries;
 //! * [`trips`] — the columnar [`trips::TripTable`]: struct-of-arrays
 //!   station trips (dense `u32` endpoints over a shared sorted intern
-//!   table, weekday/hour keys, weights) that the graph layer's sort-merge
+//!   table, weekday/hour keys, weights) that the graph layer's sort-free
 //!   CSR construction consumes — the hashmap-free hot path from cleaned
 //!   records to frozen graphs.
 //!

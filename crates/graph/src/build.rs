@@ -1,4 +1,4 @@
-//! Columnar sort-merge CSR construction — the hashmap-free build path.
+//! Columnar, sort-free CSR construction — the hashmap-free build path.
 //!
 //! [`WeightedGraph`](crate::WeightedGraph) builds adjacency through
 //! per-node hash maps: every inserted edge pays a hash probe per endpoint.
@@ -11,16 +11,28 @@
 //! 2. intern external [`NodeId`]s into dense `u32` indices by
 //!    **sort + dedup** over `(id, first-occurrence slot)` pairs — no hash
 //!    map, and the dense order reproduces the builder's insertion order
-//!    exactly (seeded nodes first, then endpoints in edge order);
-//! 3. bucket the half-edges by source row with a counting pass, then
-//!    **sort each row by target and merge adjacent duplicates**, summing
-//!    weights in original insertion order.
+//!    exactly (seeded nodes first, then endpoints in edge order), then map
+//!    every endpoint in fixed-chunk passes on the [`par`] scheduler;
+//! 3. pack the rows with one sort-free kernel, in four linear passes over
+//!    a replayable edge stream:
+//!    * a **counting pass** counts edges, folds the total weight in
+//!      insertion order and counts half-edges per row and per column,
+//!      storing nothing per edge;
+//!    * a **scatter** streams every half-edge into its column's bucket
+//!      (for an undirected graph the column counts are the row counts);
+//!    * a **counting transpose** moves the column buckets into row
+//!      buckets: each row comes out sorted by column, with equal columns
+//!      in insertion order — exactly what a stable per-row sort would give;
+//!    * a **linear fold** merges adjacent equal columns in place, each
+//!      weight starting at `0.0` and adding in bucket order, compacting
+//!      into the final targets and weights.
 //!
-//! Steps 2–3 are expressed as fixed-chunk passes on the
-//! [`par`] scheduler, so construction parallelises while staying
-//! **bit-identical at any thread count** (chunk boundaries never depend on
-//! the thread count, and every merge folds per-chunk results in chunk
-//! order — the module contract of [`par`]).
+//!    A directed graph's in-adjacency is the transpose of the out-rows
+//!    before they fold, folded the same way.
+//!
+//! No step depends on the thread count, so construction is
+//! **bit-identical at any thread count**; threads speed up step 2's
+//! endpoint mapping, the cached-degree sweep and the spilled shards.
 //!
 //! Sources that already hold dense `u32` endpoints over a known node
 //! table skip steps 1–2: [`build_dense_csr`] takes in-memory columns and
@@ -28,41 +40,37 @@
 //!
 //! ## Sharded construction
 //!
-//! At city scale the serial stable-scatter pass of step 3 dominates the
-//! build, so the row packing can additionally be **sharded**: the dense
-//! row space is partitioned into contiguous station ranges (balanced by
-//! half-edge count — a pure function of the row structure and the shard
-//! count, never the thread count), each shard scatters and sort-merges
-//! its own rows in parallel, and the shard outputs concatenate in shard
-//! order. Because a merged row is a pure function of that row's bucketed
-//! entries *in insertion order* — and a shard-local forward scan
-//! preserves exactly that order — the sharded build is **bit-identical
-//! to the unsharded one at any shard count and any thread count**, the
-//! third independence axis after the thread-count and builder/freeze
-//! contracts. [`build_dense_csr_budgeted`] takes the shard count
-//! explicitly; the other entries resolve `MOBY_SHARDS` via
-//! [`par::shard_count`]. See `DESIGN.md`.
+//! Shards only partition the spill runs (below). The dense row space
+//! splits into contiguous station ranges balanced by half-edge count — a
+//! pure function of the row counts and the shard count, never the thread
+//! count — and each shard packs its own rows with the same kernel over
+//! its own column counts. Because a packed row is a pure function of
+//! that row's half-edges *in insertion order*, and each shard sees its
+//! rows' half-edges in exactly that order, the sharded build is
+//! **bit-identical to the unsharded one at any shard count and any
+//! thread count**, the third independence axis after the thread-count
+//! and builder/freeze contracts. [`build_dense_csr_budgeted`] takes the
+//! shard count explicitly (`None` resolves `MOBY_SHARDS` via
+//! [`par::shard_count`]). See `DESIGN.md`.
 //!
 //! ## One spill decision
 //!
 //! [`build_dense_csr_budgeted`] is the only entry that can spill, and the
 //! only place the budget ([`spill::budget_bytes`]: explicit megabytes,
-//! then [`spill::BUDGET_ENV`]) is resolved. While the stream replays into
-//! the in-memory half-edge columns it applies the budget rule
-//! ([`spill::should_spill`]) to the edge count so far; once the estimated
-//! scatter footprint exceeds the budget it drops the columns and builds
-//! out of core instead: a counting pass builds the provisional offsets, a
-//! partition pass appends each half-edge to its owning shard's **disk
-//! run** (plain little-endian columnar records under a RAII temp dir, see
-//! [`spill`]) in global insertion order, and each shard's merge streams
-//! back only its own run through the same shard-local scatter +
-//! `sort_merge_rows` as the in-memory sharded pass. Because the runs
-//! preserve global insertion order within each row, the per-row buckets
-//! are byte-equal to the in-memory scatter and the frozen graph is
-//! **bit-identical to the in-memory build at any shard count × thread
-//! count × budget** — the fourth independence axis, enforced by
-//! `tests/proptest_spill.rs`. The infallible entries ([`build_dense_csr`],
-//! [`CsrBuilder::build`]) never spill, so they cannot fail on I/O.
+//! then [`spill::BUDGET_ENV`]) is resolved. After the counting pass it
+//! applies the budget rule ([`spill::should_spill`]) to the final edge
+//! count. The rule is monotone in the count, so this is the arm a check
+//! after every edge would have chosen. Over budget, the build packs out of
+//! core: a partition pass appends each half-edge to its owning shard's
+//! **disk run** (plain little-endian columnar records under a RAII temp
+//! dir, see [`spill`]) in global insertion order and counts that shard's
+//! columns, and each shard streams back only its own run through the
+//! scatter, transpose and fold above. Because the runs preserve global
+//! insertion order within each row, the frozen graph is **bit-identical
+//! to the in-memory build at any shard count × thread count × budget** —
+//! the fourth independence axis, enforced by `tests/proptest_spill.rs`.
+//! The infallible entries ([`build_dense_csr`], [`CsrBuilder::build`])
+//! never spill, so they cannot fail on I/O.
 //!
 //! The output is *exactly* the graph `WeightedGraph::freeze()` would have
 //! produced from the same inserts — same dense node table, same sorted
@@ -151,8 +159,8 @@ impl FromIterator<(NodeId, NodeId, f64)> for EdgeList {
     }
 }
 
-/// Builds a frozen [`CsrGraph`] from an [`EdgeList`] by parallel
-/// sort-merge, without touching a hash map on the per-edge path.
+/// Builds a frozen [`CsrGraph`] from an [`EdgeList`] by the sort-free row
+/// packing, without touching a hash map on the per-edge path.
 ///
 /// Semantics mirror [`WeightedGraph`](crate::WeightedGraph) insertion
 /// exactly:
@@ -242,9 +250,9 @@ impl CsrBuilder {
         self.edges.len()
     }
 
-    /// Freeze the buffered edges into a [`CsrGraph`] by parallel
-    /// sort-merge. See the [module docs](self). Never spills: the edges
-    /// are already in memory.
+    /// Freeze the buffered edges into a [`CsrGraph`]. See the
+    /// [module docs](self). Never spills: the edges are already in
+    /// memory.
     pub fn build(&self) -> CsrGraph {
         let threads = par::thread_count(self.threads);
         let m = self.edges.len();
@@ -302,13 +310,13 @@ impl CsrBuilder {
                 dsts.push(d);
             }
         }
-        assemble_columns(
+        build_dense_csr(
             self.directed,
             node_ids,
             &srcs,
             &dsts,
             &self.edges.weight,
-            threads,
+            Some(threads),
         )
     }
 }
@@ -317,11 +325,10 @@ impl CsrBuilder {
 /// columns** — the zero-copy entry for columnar sources like
 /// `moby_data`'s trip table, whose rows carry dense `u32` endpoints over
 /// a known node table. Skips the intern/sort and endpoint-mapping passes
-/// of [`CsrBuilder::build`]; the sort-merge row packing and its
-/// semantics (insertion-order weight merges, builder edge-count
-/// conventions, bit-identical results at any thread and shard count) are
-/// identical. Never spills; use [`build_dense_csr_budgeted`] for a
-/// memory-bounded build.
+/// of [`CsrBuilder::build`]; the row packing and its semantics
+/// (insertion-order weight merges, builder edge-count conventions,
+/// bit-identical results at any thread count) are identical. Never
+/// spills; use [`build_dense_csr_budgeted`] for a memory-bounded build.
 ///
 /// `node_ids` supplies the dense node table (dense index = position);
 /// `src[k]`/`dst[k]` must be valid indices into it and every weight must
@@ -341,14 +348,22 @@ pub fn build_dense_csr(
         src.len() <= (u32::MAX / 2) as usize,
         "edge list exceeds the u32 CSR index space"
     );
-    assemble_columns(
+    let columns = |f: &mut dyn FnMut(u32, u32, f64)| -> crate::Result<()> {
+        for k in 0..src.len() {
+            f(src[k], dst[k], weight[k]);
+        }
+        Ok(())
+    };
+    build_dense_csr_budgeted(
         directed,
         node_ids,
-        src,
-        dst,
-        weight,
-        par::thread_count(threads),
+        columns,
+        None,
+        threads,
+        Some(u64::MAX),
+        None,
     )
+    .expect("an in-memory column stream never spills and cannot fail")
 }
 
 /// Build a frozen graph from a **replayable dense edge stream** under an
@@ -363,21 +378,20 @@ pub fn build_dense_csr(
 ///
 /// `budget_mb = None` resolves [`spill::BUDGET_ENV`]; no budget anywhere
 /// means the build never spills, and `Some(u64::MAX)` is a budget no
-/// build can exceed. The first replay fills the in-memory half-edge
-/// columns; as soon as the estimated scatter footprint of the edges seen
-/// so far (half-edge count × [`spill::HALF_EDGE_BYTES`]) exceeds the
-/// budget, the build switches to per-shard disk runs under `spill_dir`
-/// (default: the system temp dir), which are removed on return, error
-/// and panic alike. An empty stream never spills. Either way the frozen
-/// graph — node table, offsets, targets, merged weight bits, cached
-/// degrees, edge count and total weight — is **bit-identical** to
-/// [`build_dense_csr`] over the same columns at any shard count × thread
-/// count × budget; only peak memory and build speed change. See the
-/// [module docs](self).
+/// build can exceed. The first replay only counts; when the estimated
+/// footprint of the whole stream (half-edge count ×
+/// [`spill::HALF_EDGE_BYTES`]) exceeds the budget, the build packs
+/// through per-shard disk runs under `spill_dir` (default: the system
+/// temp dir), which are removed on return, error and panic alike. An
+/// empty stream never spills. Either way the frozen graph — node table,
+/// offsets, targets, merged weight bits, cached degrees, edge count and
+/// total weight — is **bit-identical** to [`build_dense_csr`] over the
+/// same columns at any shard count × thread count × budget; only peak
+/// memory and build speed change. See the [module docs](self).
 ///
 /// `shards = None` resolves `MOBY_SHARDS` via [`par::shard_count`]
-/// (default 1). Spill I/O failures surface as
-/// [`crate::GraphError::Spill`].
+/// (default 1); shards only partition the spill runs. Spill I/O failures
+/// surface as [`crate::GraphError::Spill`].
 pub fn build_dense_csr_budgeted<F>(
     directed: bool,
     node_ids: Vec<NodeId>,
@@ -390,504 +404,343 @@ pub fn build_dense_csr_budgeted<F>(
 where
     F: FnMut(&mut dyn FnMut(u32, u32, f64)) -> crate::Result<()>,
 {
-    let budget = spill::budget_bytes(budget_mb);
-    let mut half = HalfEdges::default();
-    let mut total_weight = 0.0f64;
-    let mut m = 0usize;
-    let mut over_budget = false;
-    for_each_edge(&mut |s, d, w| {
-        if over_budget {
-            return;
-        }
-        m += 1;
-        if spill::should_spill(if directed { m } else { 2 * m }, budget) {
-            over_budget = true;
-            half = HalfEdges::default();
-            return;
-        }
-        debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
-        total_weight += w;
-        half.push_edge(s, d, w, directed);
-    })?;
-    if over_budget {
-        return build_spilled(
-            directed,
-            node_ids,
-            for_each_edge,
+    let counts = count_edges(node_ids.len(), directed, &mut for_each_edge)?;
+    assert!(
+        counts.edges <= (u32::MAX / 2) as usize,
+        "edge list exceeds the u32 CSR index space"
+    );
+    let estimate = if directed {
+        counts.edges
+    } else {
+        2 * counts.edges
+    };
+    let threads = par::thread_count(threads);
+    let (out, inn) = if spill::should_spill(estimate, spill::budget_bytes(budget_mb)) {
+        let dir = spill::SpillDir::create(spill_dir)?;
+        let shards = par::shard_count(shards);
+        let out = pack_runs(
+            &offsets_of(&counts.row_len),
+            &mut |f: &mut dyn FnMut(u32, u32, f64)| out_halves(directed, &mut for_each_edge, f),
             shards,
             threads,
-            spill_dir,
-        );
-    }
-    assert!(
-        m <= (u32::MAX / 2) as usize,
-        "edge list exceeds the u32 CSR index space"
-    );
-    Ok(assemble(
-        directed,
-        node_ids,
-        half,
-        total_weight,
-        par::shard_count(shards),
-        par::thread_count(threads),
-    ))
-}
-
-/// The out-of-core arm of [`build_dense_csr_budgeted`]: pack the
-/// out-adjacency (and, for directed graphs, the in-adjacency) through
-/// per-shard disk runs and assemble the frozen graph.
-fn build_spilled<F>(
-    directed: bool,
-    node_ids: Vec<NodeId>,
-    mut for_each_edge: F,
-    shards: Option<usize>,
-    threads: Option<usize>,
-    spill_dir: Option<&Path>,
-) -> crate::Result<CsrGraph>
-where
-    F: FnMut(&mut dyn FnMut(u32, u32, f64)) -> crate::Result<()>,
-{
-    let threads = par::thread_count(threads);
-    let shards = par::shard_count(shards);
-    let n = node_ids.len();
-    let dir = spill::SpillDir::create(spill_dir)?;
-
-    // Total weight folds in insertion order during the first pass only —
-    // at *edge* granularity, before the undirected expansion, exactly
-    // like the in-memory fold.
-    let mut total_weight = 0.0f64;
-    let mut m = 0u64;
-    let mut fold_done = false;
-    let mut out_halves = |f: &mut dyn FnMut(u32, u32, f64)| -> crate::Result<()> {
-        let fold = !fold_done;
-        fold_done = true;
-        for_each_edge(&mut |s, d, w| {
-            debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
-            if fold {
-                total_weight += w;
-                m += 1;
-            }
-            f(s, d, w);
-            if !directed && s != d {
-                f(d, s, w);
-            }
-        })
-    };
-    let (offsets, targets, weights, pairs_once) =
-        pack_rows_spilled(n, &mut out_halves, shards, threads, dir.path(), "out")?;
-    assert!(
-        m <= (u32::MAX / 2) as u64,
-        "edge list exceeds the u32 CSR index space"
-    );
-    let (in_offsets, in_targets, in_weights) = if directed {
-        let mut in_halves = |f: &mut dyn FnMut(u32, u32, f64)| -> crate::Result<()> {
-            for_each_edge(&mut |s, d, w| f(d, s, w))
+            dir.path(),
+            "out",
+        )?;
+        let inn = if directed {
+            pack_runs(
+                &offsets_of(&counts.col_len),
+                &mut |f: &mut dyn FnMut(u32, u32, f64)| for_each_edge(&mut |s, d, w| f(d, s, w)),
+                shards,
+                threads,
+                dir.path(),
+                "in",
+            )?
+        } else {
+            Packed::default()
         };
-        let (io, it, iw, _) =
-            pack_rows_spilled(n, &mut in_halves, shards, threads, dir.path(), "in")?;
-        (io, it, iw)
+        (out, inn)
     } else {
-        (Vec::new(), Vec::new(), Vec::new())
+        pack_in_memory(directed, &counts, &mut for_each_edge)?
     };
-    let edge_count = if directed { targets.len() } else { pairs_once };
-
-    // `dir` drops after assembly: the runs are removed on success, and
-    // the RAII guard cleans up on every early-`?` and unwind path above.
+    let edge_count = if directed {
+        out.targets.len()
+    } else {
+        out.pairs_once
+    };
     Ok(CsrGraph::from_parts(
         CsrParts {
             directed,
             node_ids,
-            offsets,
-            targets,
-            weights,
-            in_offsets,
-            in_targets,
-            in_weights,
+            offsets: out.offsets,
+            targets: out.targets,
+            weights: out.weights,
+            in_offsets: inn.offsets,
+            in_targets: inn.targets,
+            in_weights: inn.weights,
             edge_count,
-            total_weight,
+            total_weight: counts.total_weight,
         },
         threads,
     ))
 }
 
-/// [`assemble`] over in-memory dense columns — the tail of the two
-/// infallible entries. Their shard count comes from `MOBY_SHARDS`.
-fn assemble_columns(
-    directed: bool,
-    node_ids: Vec<NodeId>,
-    srcs: &[u32],
-    dsts: &[u32],
-    weights: &[f64],
-    threads: usize,
-) -> CsrGraph {
-    // Total weight: summed in insertion order, like the builder.
-    let mut total_weight = 0.0f64;
-    for &w in weights {
-        debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
-        total_weight += w;
-    }
-    assemble(
-        directed,
-        node_ids,
-        half_edges(srcs, dsts, weights, directed),
-        total_weight,
-        par::shard_count(None),
-        threads,
-    )
-}
+/// A replayable dense edge stream, as [`build_dense_csr_budgeted`] takes it.
+type Replay<'a> = dyn FnMut(&mut dyn FnMut(u32, u32, f64)) -> crate::Result<()> + 'a;
 
-/// The in-memory tail of every entry: pack the out half-edges into
-/// sorted merged CSR rows and assemble the frozen graph. `total_weight`
-/// is the insertion-order fold of the edge weights. A directed graph's
-/// in-adjacency packs the same half-edges with rows and columns swapped.
-fn assemble(
-    directed: bool,
-    node_ids: Vec<NodeId>,
-    out_half: HalfEdges,
+/// What the counting pass learns about an edge stream without storing an
+/// edge.
+struct EdgeCounts {
+    /// Edges in the stream.
+    edges: usize,
+    /// The edge weights summed in insertion order, before the undirected
+    /// expansion — the builder's total-weight fold.
     total_weight: f64,
-    shards: usize,
-    threads: usize,
-) -> CsrGraph {
-    let n = node_ids.len();
-    let (offsets, targets, weights, pairs_once) = pack_rows(n, &out_half, shards, threads);
-    let (in_offsets, in_targets, in_weights) = if directed {
-        let HalfEdges { row, col, weight } = out_half;
-        let in_half = HalfEdges {
-            row: col,
-            col: row,
-            weight,
-        };
-        let (io, it, iw, _) = pack_rows(n, &in_half, shards, threads);
-        (io, it, iw)
-    } else {
-        (Vec::new(), Vec::new(), Vec::new())
-    };
-    let edge_count = if directed { targets.len() } else { pairs_once };
-
-    CsrGraph::from_parts(
-        CsrParts {
-            directed,
-            node_ids,
-            offsets,
-            targets,
-            weights,
-            in_offsets,
-            in_targets,
-            in_weights,
-            edge_count,
-            total_weight,
-        },
-        threads,
-    )
+    /// Out half-edges per row.
+    row_len: Vec<u32>,
+    /// Half-edges per column of a directed graph (its in-row lengths);
+    /// empty for an undirected one, whose column counts equal `row_len`.
+    col_len: Vec<u32>,
 }
 
-/// Half-edge columns: one `(row, col, weight)` record per adjacency entry,
-/// in insertion order. Shared with the delta-merge path
-/// ([`crate::delta`]), which must expand batch edges exactly the way a
-/// full rebuild would.
+/// The counting pass: one replay, nothing stored per edge.
+fn count_edges(n: usize, directed: bool, for_each_edge: &mut Replay) -> crate::Result<EdgeCounts> {
+    let mut counts = EdgeCounts {
+        edges: 0,
+        total_weight: 0.0,
+        row_len: vec![0; n],
+        col_len: if directed { vec![0; n] } else { Vec::new() },
+    };
+    for_each_edge(&mut |s, d, w| {
+        debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
+        counts.edges += 1;
+        counts.total_weight += w;
+        counts.row_len[s as usize] += 1;
+        if directed {
+            counts.col_len[d as usize] += 1;
+        } else if s != d {
+            counts.row_len[d as usize] += 1;
+        }
+    })?;
+    Ok(counts)
+}
+
+/// Replay the stream as out half-edges `(row, col, weight)`: a directed
+/// edge (or an undirected self-loop) is one half-edge, an undirected edge
+/// both orientations.
+fn out_halves(
+    directed: bool,
+    for_each_edge: &mut Replay,
+    f: &mut dyn FnMut(u32, u32, f64),
+) -> crate::Result<()> {
+    for_each_edge(&mut |s, d, w| {
+        f(s, d, w);
+        if !directed && s != d {
+            f(d, s, w);
+        }
+    })
+}
+
+/// `counts.len() + 1` bucket offsets: the running sums of `counts`.
+fn offsets_of(counts: &[u32]) -> Vec<u32> {
+    let mut offsets = Vec::with_capacity(counts.len() + 1);
+    let mut end = 0u32;
+    offsets.push(end);
+    for &c in counts {
+        end += c;
+        offsets.push(end);
+    }
+    offsets
+}
+
+/// Half-edges grouped into buckets: bucket `k` holds the entries
+/// `(idx[p], w[p])` for `p` in `offsets[k]..offsets[k + 1]` of an offset
+/// table kept beside it.
+struct Buckets {
+    idx: Vec<u32>,
+    w: Vec<f64>,
+}
+
+impl Buckets {
+    fn zeroed(len: usize) -> Buckets {
+        Buckets {
+            idx: vec![0; len],
+            w: vec![0.0; len],
+        }
+    }
+}
+
+/// Folded CSR rows: `offsets`/`targets`/`weights` plus `pairs_once`, the
+/// folded entries with `row <= col` (the undirected edge-count
+/// convention).
 #[derive(Default)]
-pub(crate) struct HalfEdges {
-    pub(crate) row: Vec<u32>,
-    pub(crate) col: Vec<u32>,
-    pub(crate) weight: Vec<f64>,
+struct Packed {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    weights: Vec<f64>,
+    pairs_once: usize,
 }
 
-impl HalfEdges {
-    /// Append one edge's half-edges: a directed edge (or an undirected
-    /// self-loop) emits one record, an undirected edge both orientations.
-    #[inline]
-    fn push_edge(&mut self, row: u32, col: u32, weight: f64, directed: bool) {
-        self.row.push(row);
-        self.col.push(col);
-        self.weight.push(weight);
-        if !directed && row != col {
-            self.row.push(col);
-            self.col.push(row);
-            self.weight.push(weight);
+/// Bucket half-edges `(row, col, weight)` by row, each row sorted by
+/// column with equal columns in stream order: a scatter into column
+/// buckets (each listing its `(row, weight)` entries in stream order),
+/// then a [`transpose`] into row buckets.
+fn sorted_rows(
+    row_offsets: &[u32],
+    col_offsets: &[u32],
+    halves: &mut Replay,
+) -> crate::Result<Buckets> {
+    let mut cols = Buckets::zeroed(col_offsets[col_offsets.len() - 1] as usize);
+    let mut cursor = col_offsets[..col_offsets.len() - 1].to_vec();
+    halves(&mut |row, col, w| {
+        let p = cursor[col as usize] as usize;
+        cursor[col as usize] += 1;
+        cols.idx[p] = row;
+        cols.w[p] = w;
+    })?;
+    let mut rows = Buckets::zeroed(cols.idx.len());
+    transpose(&cols, col_offsets, &mut rows, row_offsets);
+    Ok(rows)
+}
+
+/// Counting transpose: entry `(j, w)` of source bucket `k` becomes entry
+/// `(k, w)` of destination bucket `j`, overwriting `dst`. Source buckets
+/// are visited in key order, so every destination bucket comes out
+/// sorted by `k`, and entries with equal `k` keep their source-bucket
+/// order — a stable sort by key without a comparison.
+fn transpose(src: &Buckets, src_offsets: &[u32], dst: &mut Buckets, dst_offsets: &[u32]) {
+    let mut cursor = dst_offsets[..dst_offsets.len() - 1].to_vec();
+    for (k, bounds) in src_offsets.windows(2).enumerate() {
+        for p in bounds[0] as usize..bounds[1] as usize {
+            let j = src.idx[p] as usize;
+            let q = cursor[j] as usize;
+            cursor[j] += 1;
+            dst.idx[q] = k as u32;
+            dst.w[q] = src.w[p];
         }
     }
 }
 
-/// Expand edges into half-edges. Directed graphs emit one record per edge
-/// (`rows`/`cols` swapped by the caller for the in-adjacency); an
-/// undirected edge emits both orientations, self-loops once.
-pub(crate) fn half_edges(rows: &[u32], cols: &[u32], weights: &[f64], directed: bool) -> HalfEdges {
-    let cap = if directed { rows.len() } else { 2 * rows.len() };
-    let mut half = HalfEdges {
-        row: Vec::with_capacity(cap),
-        col: Vec::with_capacity(cap),
-        weight: Vec::with_capacity(cap),
-    };
-    for k in 0..rows.len() {
-        half.push_edge(rows[k], cols[k], weights[k], directed);
-    }
-    half
-}
-
-/// Sort-merge a contiguous range of rows whose bucketed entries live in
-/// `bucket_col`/`bucket_w` at positions `offsets[u] - base ..
-/// offsets[u + 1] - base`. Returns the merged
-/// `(targets, weights, per-row lens, pairs_once)` segment for the range,
-/// where `pairs_once` counts merged entries with `row <= col` (the
-/// undirected edge-count convention).
-///
-/// This is a pure function of each row's bucket *in insertion order* —
-/// the invariant that makes thread-chunk and shard decompositions of the
-/// row space interchangeable bit for bit.
-fn sort_merge_rows(
-    rows: std::ops::Range<usize>,
-    offsets: &[u32],
-    base: u32,
-    bucket_col: &[u32],
-    bucket_w: &[f64],
-) -> (Vec<u32>, Vec<f64>, Vec<u32>, usize) {
-    let mut targets = Vec::new();
-    let mut weights = Vec::new();
-    let mut lens = Vec::with_capacity(rows.len());
+/// Fold each column-sorted row bucket in place: a run of equal columns
+/// becomes one entry whose weight starts at `0.0` and adds the run in
+/// bucket order. `first_row` is the global index of bucket 0. The
+/// buckets compact into the final targets and weights.
+fn fold(rows: Buckets, offsets: &[u32], first_row: usize) -> Packed {
+    let Buckets {
+        idx: mut targets,
+        w: mut weights,
+    } = rows;
+    let mut folded = Vec::with_capacity(offsets.len());
+    folded.push(0u32);
+    let mut end = 0usize;
     let mut pairs_once = 0usize;
-    let mut scratch: Vec<(u32, f64)> = Vec::new();
-    for u in rows {
-        let lo = (offsets[u] - base) as usize;
-        let hi = (offsets[u + 1] - base) as usize;
-        scratch.clear();
-        scratch.extend(
-            bucket_col[lo..hi]
-                .iter()
-                .copied()
-                .zip(bucket_w[lo..hi].iter().copied()),
-        );
-        // Stable: equal targets keep insertion order for the merge.
-        scratch.sort_by_key(|&(col, _)| col);
-        let before = targets.len();
-        let mut i = 0usize;
-        while i < scratch.len() {
-            let col = scratch[i].0;
+    for (r, bounds) in offsets.windows(2).enumerate() {
+        let row = (first_row + r) as u32;
+        let (mut p, hi) = (bounds[0] as usize, bounds[1] as usize);
+        while p < hi {
+            let col = targets[p];
             let mut acc = 0.0f64;
-            while i < scratch.len() && scratch[i].0 == col {
-                acc += scratch[i].1;
-                i += 1;
+            while p < hi && targets[p] == col {
+                acc += weights[p];
+                p += 1;
             }
-            targets.push(col);
-            weights.push(acc);
-            if u as u32 <= col {
-                pairs_once += 1;
-            }
+            targets[end] = col;
+            weights[end] = acc;
+            end += 1;
+            pairs_once += usize::from(row <= col);
         }
-        lens.push((targets.len() - before) as u32);
+        folded.push(end as u32);
     }
-    (targets, weights, lens, pairs_once)
+    targets.truncate(end);
+    weights.truncate(end);
+    Packed {
+        offsets: folded,
+        targets,
+        weights,
+        pairs_once,
+    }
 }
 
-/// Bucket half-edges by row (stable counting pass), then sort each row by
-/// target and merge adjacent duplicates — weights summed in insertion
-/// order. Returns `(offsets, targets, weights, pairs_once)` where
-/// `pairs_once` counts merged entries with `row <= col` (the undirected
-/// edge-count convention).
-///
-/// With `shards > 1` the scatter itself is sharded: the row space splits
-/// into contiguous ranges balanced by half-edge count (a pure function of
-/// the provisional offsets and the shard count), each shard scatters and
-/// merges its own rows, and the shard outputs concatenate in shard
-/// order — bit-identical to the unsharded pass at any shard count (see
-/// the [module docs](self)).
-fn pack_rows(
-    n: usize,
-    half: &HalfEdges,
-    shards: usize,
-    threads: usize,
-) -> (Vec<u32>, Vec<u32>, Vec<f64>, usize) {
-    let h = half.row.len();
-    assert!(h <= u32::MAX as usize, "half-edge space exceeds u32");
-
-    // Per-chunk histograms over fixed uniform chunks, merged in chunk
-    // order: provisional row counts independent of the thread count.
-    let chunks = par::RowChunks::uniform(h, 16);
-    let histograms = par::par_map(&chunks, threads, |_, range| {
-        let mut counts = vec![0u32; n];
-        for i in range {
-            counts[half.row[i] as usize] += 1;
-        }
-        counts
-    });
-    let mut offsets = vec![0u32; n + 1];
-    for counts in &histograms {
-        for (u, &c) in counts.iter().enumerate() {
-            offsets[u + 1] += c;
-        }
-    }
-    for u in 0..n {
-        offsets[u + 1] += offsets[u];
-    }
-
-    let merged = if shards <= 1 {
-        // Stable scatter: a single linear pass in insertion order, so
-        // every row's bucket lists its entries oldest-first (the merge
-        // relies on this to reproduce the builder's accumulation order).
-        let mut bucket_col = vec![0u32; h];
-        let mut bucket_w = vec![0.0f64; h];
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for i in 0..h {
-            let r = half.row[i] as usize;
-            let p = cursor[r] as usize;
-            cursor[r] += 1;
-            bucket_col[p] = half.col[i];
-            bucket_w[p] = half.weight[i];
-        }
-
-        // Per-row sort + adjacent merge, parallel over edge-balanced row
-        // chunks; per-chunk outputs concatenate in chunk order.
-        let row_chunks = par::RowChunks::balanced(&offsets, 64, 4096);
-        par::par_map(&row_chunks, threads, |_, range| {
-            sort_merge_rows(range, &offsets, 0, &bucket_col, &bucket_w)
-        })
+/// The in-memory arm: the out half-edges as [`sorted_rows`], folded. A
+/// directed graph's in-adjacency is the transpose of the unfolded
+/// out-rows, folded the same way. Returns the out- and in-adjacency
+/// (empty for an undirected graph).
+fn pack_in_memory(
+    directed: bool,
+    counts: &EdgeCounts,
+    for_each_edge: &mut Replay,
+) -> crate::Result<(Packed, Packed)> {
+    let row_offsets = offsets_of(&counts.row_len);
+    let col_offsets = if directed {
+        offsets_of(&counts.col_len)
     } else {
-        // Shard boundaries: contiguous row ranges balanced by half-edge
-        // count — a pure function of the offsets and the shard count.
-        let shard_chunks = par::RowChunks::balanced(&offsets, shards, 1);
-        par::par_map(&shard_chunks, threads, |_, rows| {
-            // Shard-local stable scatter: one forward pass over the full
-            // half-edge columns keeps each of this shard's rows in
-            // global insertion order, so the per-row buckets are
-            // byte-equal to the slices the unsharded scatter produces.
-            let base = offsets[rows.start];
-            let len = (offsets[rows.end] - base) as usize;
-            let mut bucket_col = vec![0u32; len];
-            let mut bucket_w = vec![0.0f64; len];
-            let mut cursor: Vec<u32> = offsets[rows.clone()].to_vec();
-            for i in 0..h {
-                let r = half.row[i] as usize;
-                if r < rows.start || r >= rows.end {
-                    continue;
-                }
-                let p = (cursor[r - rows.start] - base) as usize;
-                cursor[r - rows.start] += 1;
-                bucket_col[p] = half.col[i];
-                bucket_w[p] = half.weight[i];
-            }
-            sort_merge_rows(rows, &offsets, base, &bucket_col, &bucket_w)
-        })
+        row_offsets.clone()
     };
-
-    concat_segments(n, merged)
+    let rows = sorted_rows(&row_offsets, &col_offsets, &mut |f: &mut dyn FnMut(
+        u32,
+        u32,
+        f64,
+    )| {
+        out_halves(directed, for_each_edge, f)
+    })?;
+    let inn = if directed {
+        let mut in_rows = Buckets::zeroed(rows.idx.len());
+        transpose(&rows, &row_offsets, &mut in_rows, &col_offsets);
+        fold(in_rows, &col_offsets, 0)
+    } else {
+        Packed::default()
+    };
+    Ok((fold(rows, &row_offsets, 0), inn))
 }
 
-/// One merged row-range output: `(targets, weights, row lens, pairs_once)`
-/// as produced by [`sort_merge_rows`] for a contiguous row range.
-type PackSegment = (Vec<u32>, Vec<f64>, Vec<u32>, usize);
-
-/// Concatenate per-range [`sort_merge_rows`] outputs in range order into
-/// final `(offsets, targets, weights, pairs_once)` CSR columns — shared
-/// by the in-memory and spilled packing paths.
-fn concat_segments(n: usize, merged: Vec<PackSegment>) -> (Vec<u32>, Vec<u32>, Vec<f64>, usize) {
-    let mut final_offsets = Vec::with_capacity(n + 1);
-    final_offsets.push(0u32);
-    let mut final_targets = Vec::new();
-    let mut final_weights = Vec::new();
-    let mut pairs_once = 0usize;
-    for (targets, weights, lens, pairs) in merged {
-        for len in lens {
-            final_offsets.push(final_offsets.last().unwrap() + len);
-        }
-        final_targets.extend(targets);
-        final_weights.extend(weights);
-        pairs_once += pairs;
-    }
-    // Empty row spaces (n rows, zero chunks) still need n+1 offsets.
-    while final_offsets.len() < n + 1 {
-        final_offsets.push(*final_offsets.last().unwrap());
-    }
-    (final_offsets, final_targets, final_weights, pairs_once)
-}
-
-/// The out-of-core counterpart of [`pack_rows`]: the half-edge stream is
-/// replayed twice — a counting pass builds the provisional offsets, then
-/// a partition pass appends each half-edge to its owning shard's disk
-/// run (per-shard contiguous row ranges balanced by half-edge count,
-/// exactly [`pack_rows`]'s shard boundaries). Each shard then streams
-/// its own run back into a scatter bucket and merges with the shared
-/// [`sort_merge_rows`] — since the run preserves global insertion order
-/// for that shard's rows, the buckets (and therefore the merged columns
-/// and fold bits) are byte-equal to the in-memory pass.
-fn pack_rows_spilled(
-    n: usize,
-    halves: &mut dyn FnMut(&mut dyn FnMut(u32, u32, f64)) -> crate::Result<()>,
+/// The out-of-core arm for one adjacency. The rows split into contiguous
+/// shard ranges balanced by half-edge count (a pure function of
+/// `row_offsets` and the shard count). A partition pass appends every
+/// half-edge to its shard's disk run in stream order and counts each
+/// shard's half-edges per column. Each shard then packs its own run with
+/// the in-memory kernel — [`sorted_rows`] over its local column counts,
+/// then [`fold`] — and the packs concatenate in shard order.
+fn pack_runs(
+    row_offsets: &[u32],
+    halves: &mut Replay,
     shards: usize,
     threads: usize,
     dir: &Path,
     tag: &str,
-) -> crate::Result<(Vec<u32>, Vec<u32>, Vec<f64>, usize)> {
-    // Counting pass: provisional per-row offsets, no storage of the
-    // half-edges themselves.
-    let mut offsets = vec![0u32; n + 1];
-    let mut h = 0u64;
-    halves(&mut |row, _, _| {
-        offsets[row as usize + 1] += 1;
-        h += 1;
-    })?;
-    assert!(h <= u32::MAX as u64, "half-edge space exceeds u32");
-    for u in 0..n {
-        offsets[u + 1] += offsets[u];
-    }
-
-    // Shard boundaries are the same pure function of (offsets, shards)
-    // the in-memory path uses, so the row partition is identical.
-    let shard_chunks = par::RowChunks::balanced(&offsets, shards, 1);
+) -> crate::Result<Packed> {
+    let n = row_offsets.len() - 1;
+    let shard_chunks = par::RowChunks::balanced(row_offsets, shards, 1);
     let mut shard_of = vec![0u32; n];
     for (s, rows) in shard_chunks.ranges().iter().enumerate() {
-        for slot in &mut shard_of[rows.clone()] {
-            *slot = s as u32;
-        }
+        shard_of[rows.clone()].fill(s as u32);
     }
 
-    // Partition pass: every half-edge appends to its shard's run file in
-    // stream order, so each run lists its shard's half-edges in global
-    // insertion order. Write errors latch inside the writers and surface
-    // at finish().
+    // Write errors latch inside the writers and surface at finish().
     let mut writers = spill::ShardRunWriters::create(dir, shard_chunks.len(), tag)?;
+    let mut col_len = vec![vec![0u32; n]; shard_chunks.len()];
     halves(&mut |row, col, w| {
-        writers.push(shard_of[row as usize] as usize, row, col, w);
+        let s = shard_of[row as usize] as usize;
+        col_len[s][col as usize] += 1;
+        writers.push(s, row, col, w);
     })?;
     let runs = writers.finish()?;
 
-    // Per-shard streaming read-back + scatter + sort-merge: the bucket a
-    // shard fills from its run is byte-equal to the slice the in-memory
-    // forward scan would have produced for the same rows.
-    let merged = par::par_map(
-        &shard_chunks,
-        threads,
-        |s, rows| -> crate::Result<PackSegment> {
-            let base = offsets[rows.start];
-            let len = (offsets[rows.end] - base) as usize;
-            debug_assert_eq!(
-                runs.shard_len(s) as usize,
-                len,
-                "run/offset length mismatch"
-            );
-            let mut bucket_col = vec![0u32; len];
-            let mut bucket_w = vec![0.0f64; len];
-            let mut cursor: Vec<u32> = offsets[rows.clone()].to_vec();
-            runs.for_each(s, &mut |row, col, w| {
-                let r = row as usize;
-                debug_assert!(r >= rows.start && r < rows.end, "half-edge in wrong run");
-                let p = (cursor[r - rows.start] - base) as usize;
-                cursor[r - rows.start] += 1;
-                bucket_col[p] = col;
-                bucket_w[p] = w;
-            })?;
-            Ok(sort_merge_rows(
-                rows,
-                &offsets,
-                base,
-                &bucket_col,
-                &bucket_w,
-            ))
-        },
-    );
-    let mut segments = Vec::with_capacity(merged.len());
-    for seg in merged {
-        segments.push(seg?);
+    let packed = par::par_map(&shard_chunks, threads, |s, rows| -> crate::Result<Packed> {
+        let base = row_offsets[rows.start];
+        let local: Vec<u32> = row_offsets[rows.start..=rows.end]
+            .iter()
+            .map(|&o| o - base)
+            .collect();
+        let col_offsets = offsets_of(&col_len[s]);
+        let first = rows.start as u32;
+        let bucket = sorted_rows(&local, &col_offsets, &mut |f: &mut dyn FnMut(
+            u32,
+            u32,
+            f64,
+        )| {
+            runs.for_each(s, &mut |row, col, w| f(row - first, col, w))
+        })?;
+        Ok(fold(bucket, &local, rows.start))
+    });
+    let mut parts = packed.into_iter().collect::<crate::Result<Vec<Packed>>>()?;
+    if parts.len() == 1 {
+        return Ok(parts.pop().expect("one shard"));
     }
-    Ok(concat_segments(n, segments))
+    let entries = parts.iter().map(|p| p.targets.len()).sum();
+    let mut all = Packed {
+        offsets: Vec::with_capacity(n + 1),
+        targets: Vec::with_capacity(entries),
+        weights: Vec::with_capacity(entries),
+        pairs_once: 0,
+    };
+    all.offsets.push(0);
+    for p in parts {
+        let base = all.targets.len() as u32;
+        all.offsets.extend(p.offsets[1..].iter().map(|&o| base + o));
+        all.targets.extend_from_slice(&p.targets);
+        all.weights.extend_from_slice(&p.weights);
+        all.pairs_once += p.pairs_once;
+    }
+    Ok(all)
 }
 
 #[cfg(test)]
@@ -1076,11 +929,11 @@ mod tests {
     }
 
     #[test]
-    fn budget_crossed_mid_stream_matches_in_memory() {
+    fn budget_below_the_stream_footprint_spills_and_matches_in_memory() {
         // 40 000 undirected edges estimate 80 000 half-edges (1.22 MiB),
-        // so a 1 MB budget is crossed part-way through the first replay:
-        // the partial in-memory columns are dropped and the build moves
-        // to the disk runs.
+        // over a 1 MB budget, while a 1 000-edge prefix stays under it.
+        // An unusable spill dir makes the arm observable: only a build
+        // that spills fails on it.
         let n = 300u32;
         let mut x = 5u64;
         let (mut src, mut dst, mut w) = (Vec::new(), Vec::new(), Vec::new());
@@ -1098,20 +951,37 @@ mod tests {
             spill::budget_bytes(Some(1))
         ));
         assert!(!spill::should_spill(2 * 1000, spill::budget_bytes(Some(1))));
-        let got = build_dense_csr_budgeted(
-            false,
-            node_ids.clone(),
-            replay(&src, &dst, &w),
-            Some(2),
-            Some(2),
-            Some(1),
-            None,
-        )
-        .expect("spilled build");
-        assert_identical(
-            &got,
-            &build_dense_csr(false, node_ids, &src, &dst, &w, Some(1)),
-        );
+        let file = std::env::temp_dir().join(format!("moby-spill-test-b-{}", std::process::id()));
+        std::fs::write(&file, b"not a dir").unwrap();
+        let build = |len: usize, dir: Option<&Path>| {
+            build_dense_csr_budgeted(
+                false,
+                node_ids.clone(),
+                replay(&src[..len], &dst[..len], &w[..len]),
+                Some(2),
+                Some(2),
+                Some(1),
+                dir,
+            )
+        };
+        let bad_dir = file.join("sub");
+        let prefix = build(1000, Some(&bad_dir)).expect("under budget: in memory");
+        let whole = build(src.len(), Some(&bad_dir));
+        std::fs::remove_file(&file).ok();
+        assert!(matches!(whole, Err(crate::GraphError::Spill(_))));
+        let plain = |len: usize| {
+            build_dense_csr(
+                false,
+                node_ids.clone(),
+                &src[..len],
+                &dst[..len],
+                &w[..len],
+                Some(1),
+            )
+        };
+        assert_identical(&prefix, &plain(1000));
+        let got = build(src.len(), None).expect("spilled build");
+        assert_identical(&got, &plain(src.len()));
     }
 
     #[test]
@@ -1318,6 +1188,83 @@ mod tests {
             let one = build(true, vec![7], &[0, 0], &[0, 0], &[1.0, 2.0]);
             assert_eq!(one.node_count(), 1);
             assert_eq!(one.row(0), (&[0u32][..], &[3.0][..]));
+        }
+    }
+
+    #[test]
+    fn duplicate_edges_fold_from_zero_in_insertion_order() {
+        // One row's duplicates, inserted out of column order: a lone -0.0
+        // edge folds to +0.0 (the fold starts at 0.0), and 1e16 + 1 + 1
+        // stays 1e16 only when added in insertion order (column or
+        // reversed order gives 1e16 + 2).
+        let edges: [(NodeId, NodeId, f64); 6] = [
+            (10, 40, 1e16),
+            (10, 20, -0.0),
+            (10, 40, 1.0),
+            (10, 10, 0.5),
+            (10, 30, 2.0),
+            (10, 40, 1.0),
+        ];
+        // First-appearance order, so the dense table matches the freeze's.
+        let node_ids: Vec<NodeId> = vec![10, 40, 20, 30];
+        let dense = |id: NodeId| node_ids.iter().position(|&x| x == id).unwrap() as u32;
+        let src: Vec<u32> = edges.iter().map(|e| dense(e.0)).collect();
+        let dst: Vec<u32> = edges.iter().map(|e| dense(e.1)).collect();
+        let w: Vec<f64> = edges.iter().map(|e| e.2).collect();
+        for directed in [false, true] {
+            let mut g = if directed {
+                WeightedGraph::new_directed()
+            } else {
+                WeightedGraph::new_undirected()
+            };
+            for &(s, d, weight) in &edges {
+                g.add_edge(s, d, weight);
+            }
+            let frozen = g.freeze();
+            let mut built = Vec::new();
+            for threads in [1usize, 2] {
+                built.push(build_dense_csr(
+                    directed,
+                    node_ids.clone(),
+                    &src,
+                    &dst,
+                    &w,
+                    Some(threads),
+                ));
+                let mut b = if directed {
+                    CsrBuilder::directed()
+                } else {
+                    CsrBuilder::undirected()
+                }
+                .threads(Some(threads));
+                for &(s, d, weight) in &edges {
+                    b.push(s, d, weight);
+                }
+                built.push(b.build());
+                for budget_mb in [None, Some(0)] {
+                    built.push(
+                        build_dense_csr_budgeted(
+                            directed,
+                            node_ids.clone(),
+                            replay(&src, &dst, &w),
+                            Some(1),
+                            Some(threads),
+                            budget_mb,
+                            None,
+                        )
+                        .expect("budgeted build"),
+                    );
+                }
+            }
+            for got in &built {
+                assert_identical(got, &frozen);
+                assert_eq!(got.edge_weight(10, 20).map(f64::to_bits), Some(0x0));
+                assert_eq!(
+                    got.edge_weight(10, 40).map(f64::to_bits),
+                    Some(0x4341_C379_37E0_8000)
+                );
+                assert_eq!(got.edge_weight(10, 10), Some(0.5));
+            }
         }
     }
 

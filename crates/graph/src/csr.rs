@@ -60,22 +60,9 @@ impl<T: Copy + Default> AlignedSlab<T> {
 
     /// Copy `data` into a freshly aligned slab.
     pub fn from_slice(data: &[T]) -> Self {
-        let len = data.len();
-        if len == 0 {
-            return Self {
-                buf: Vec::new(),
-                off: 0,
-                len: 0,
-            };
-        }
-        let pad = Self::lane_count();
-        let mut buf = vec![T::default(); len + pad];
-        // `align_offset` may pessimistically refuse (returns usize::MAX);
-        // alignment is a pure optimisation, so fall back to offset 0.
-        let off = buf.as_ptr().align_offset(CACHE_LINE);
-        let off = if off > pad { 0 } else { off };
-        buf[off..off + len].copy_from_slice(data);
-        Self { buf, off, len }
+        let mut buf = Vec::with_capacity(data.len() + Self::lane_count());
+        buf.extend_from_slice(data);
+        Self::from(buf)
     }
 
     /// The logical contents.
@@ -97,8 +84,24 @@ impl<T: Copy + Default> AlignedSlab<T> {
 }
 
 impl<T: Copy + Default> From<Vec<T>> for AlignedSlab<T> {
-    fn from(data: Vec<T>) -> Self {
-        Self::from_slice(&data)
+    /// Adopt `buf`'s allocation: grow it by one cache line (a no-op when
+    /// the spare capacity already covers it), trim it to exactly that, and
+    /// shift the contents up to the first aligned element in place.
+    fn from(mut buf: Vec<T>) -> Self {
+        let len = buf.len();
+        if len == 0 {
+            return Self::default();
+        }
+        let pad = Self::lane_count();
+        buf.reserve_exact(pad);
+        buf.resize(len + pad, T::default());
+        buf.shrink_to_fit();
+        // `align_offset` may pessimistically refuse (returns usize::MAX);
+        // alignment is a pure optimisation, so fall back to offset 0.
+        let off = buf.as_ptr().align_offset(CACHE_LINE);
+        let off = if off > pad { 0 } else { off };
+        buf.copy_within(0..len, off);
+        Self { buf, off, len }
     }
 }
 
@@ -978,6 +981,20 @@ mod tests {
         let fslab: AlignedSlab<f64> = f.clone().into();
         assert_eq!(&*fslab, &f[..]);
         assert!(fslab.is_aligned());
+        assert_eq!(
+            fslab.heap_bytes(),
+            (77 + 8) * 8,
+            "exactly one line of padding"
+        );
+
+        // An adopted Vec keeps exactly one line of padding, whatever spare
+        // capacity it arrived with.
+        let mut spare: Vec<u32> = Vec::with_capacity(500);
+        spare.extend(0..77);
+        let adopted = AlignedSlab::from(spare);
+        assert_eq!(adopted.as_slice(), &data[..77]);
+        assert!(adopted.is_aligned());
+        assert_eq!(adopted.heap_bytes(), (77 + 16) * 4);
 
         // Clone re-packs around a fresh allocation but compares equal.
         let copy = slab.clone();

@@ -46,7 +46,6 @@
 //! The shard-independence suite (`crates/graph/tests/proptest_sharded.rs`)
 //! chains deltas onto sharded bases to pin this down.
 
-use crate::build::{half_edges, HalfEdges};
 use crate::csr::CsrParts;
 use crate::{par, CsrGraph, NodeId};
 
@@ -312,6 +311,40 @@ impl CsrGraph {
             threads,
         )
     }
+}
+
+/// Half-edge columns: one `(row, col, weight)` record per adjacency entry,
+/// in insertion order — how the delta and eviction paths expand a batch
+/// before bucketing its touched rows.
+pub(crate) struct HalfEdges {
+    pub(crate) row: Vec<u32>,
+    pub(crate) col: Vec<u32>,
+    pub(crate) weight: Vec<f64>,
+}
+
+/// Expand edges into half-edges. Directed graphs emit one record per edge
+/// (`rows`/`cols` swapped by the caller for the in-adjacency); an
+/// undirected edge emits both orientations, self-loops once — exactly
+/// the half-edges a full build packs.
+pub(crate) fn half_edges(rows: &[u32], cols: &[u32], weights: &[f64], directed: bool) -> HalfEdges {
+    let cap = if directed { rows.len() } else { 2 * rows.len() };
+    let mut half = HalfEdges {
+        row: Vec::with_capacity(cap),
+        col: Vec::with_capacity(cap),
+        weight: Vec::with_capacity(cap),
+    };
+    for k in 0..rows.len() {
+        let (r, c, w) = (rows[k], cols[k], weights[k]);
+        half.row.push(r);
+        half.col.push(c);
+        half.weight.push(w);
+        if !directed && r != c {
+            half.row.push(c);
+            half.col.push(r);
+            half.weight.push(w);
+        }
+    }
+    half
 }
 
 /// Merge old CSR rows with a batch's half-edges over the new row space:

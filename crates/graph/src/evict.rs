@@ -53,8 +53,8 @@
 //! because per-target merged weights are unaffected by the order of
 //! *other* targets.
 
-use crate::build::{half_edges, HalfEdges};
 use crate::csr::CsrParts;
+use crate::delta::{half_edges, HalfEdges};
 use crate::{par, CsrGraph, NodeId};
 
 /// An eviction prepared for application to a frozen [`CsrGraph`] — the

@@ -15,10 +15,11 @@
 //! * [`CsrGraph`] — the frozen compressed-sparse-row projection; every
 //!   analytical algorithm (degree/strength, Louvain, centrality) runs on
 //!   this cache-friendly representation;
-//! * [`EdgeList`] / [`CsrBuilder`] — the columnar **sort-merge
+//! * [`EdgeList`] / [`CsrBuilder`] — the columnar **sort-free
 //!   construction** path: `(src, dst, weight)` triples become a frozen
-//!   [`CsrGraph`] directly (sort by row/target + adjacent-duplicate
-//!   merge, parallelised on [`par`]), producing bit-for-bit the graph
+//!   [`CsrGraph`] directly (a counting scatter into column buckets, a
+//!   counting transpose into column-sorted rows and a linear fold of
+//!   adjacent duplicates — no comparison sort), producing bit-for-bit the graph
 //!   [`WeightedGraph::freeze`] would have built — with zero per-edge hash
 //!   operations;
 //! * [`build_dense_csr`] / [`build_dense_csr_budgeted`] — the same

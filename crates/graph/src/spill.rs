@@ -1,18 +1,18 @@
 //! Out-of-core spill runs for the sharded CSR construction path.
 //!
-//! When a build's estimated scatter footprint exceeds a configured memory
-//! budget (the `budget_mb` argument of
+//! When a build's estimated footprint exceeds a configured memory budget
+//! (the `budget_mb` argument of
 //! [`build_dense_csr_budgeted`](crate::build_dense_csr_budgeted) / the
-//! [`BUDGET_ENV`] environment variable), the half-edge columns are
-//! **partitioned to per-shard spill files** during the counting pass
-//! instead of being materialised in memory: each shard's run holds exactly
-//! the half-edges whose row falls in that shard's range, written in
-//! **global insertion order**, as plain little-endian columnar records.
-//! Each shard then streams its own run back through the same shard-local
-//! scatter + sort-merge the in-memory sharded pass uses, so the frozen
-//! graph is bit-identical to the in-memory build at any
-//! shard count × thread count × budget — the fourth independence axis of
-//! the construction contract (see `crate::build` and `DESIGN.md`).
+//! [`BUDGET_ENV`] environment variable), the half-edges are
+//! **partitioned to per-shard spill files** instead of being bucketed in
+//! memory: each shard's run holds exactly the half-edges whose row falls
+//! in that shard's range, written in **global insertion order**, as plain
+//! little-endian columnar records. Each shard then streams its own run
+//! back through the same scatter, counting transpose and fold the
+//! in-memory build uses, so the frozen graph is bit-identical to the
+//! in-memory build at any shard count × thread count × budget — the
+//! fourth independence axis of the construction contract (see
+//! `crate::build` and `DESIGN.md`).
 //!
 //! This module owns the mechanical pieces: budget resolution, the
 //! RAII-cleaned temp directory, and the run writers/readers. The actual
@@ -37,9 +37,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// matrix runs). An unset/garbage value means "no budget, never spill".
 pub const BUDGET_ENV: &str = "MOBY_SPILL_BUDGET_MB";
 
-/// Bytes one half-edge occupies both in a spill-run record and in the
-/// in-memory half-edge columns (`row: u32 + col: u32 + weight: f64`) —
-/// the unit of the budget rule.
+/// Bytes one half-edge occupies in a spill-run record
+/// (`row: u32 + col: u32 + weight: f64`) — the unit of the budget rule.
+/// The in-memory build no longer stores half-edge columns (its buckets
+/// hold 12 bytes per half-edge), but the rule keeps this unit so that
+/// every build lands in the same arm it always did.
 pub const HALF_EDGE_BYTES: usize = 16;
 
 /// Resolve the spill budget in **bytes**: the explicit override (in MB)
@@ -59,11 +61,12 @@ fn parse_budget(raw: Option<&str>) -> Option<u64> {
     raw.and_then(|v| v.trim().parse::<u64>().ok())
 }
 
-/// The budget rule: spill when the estimated scatter footprint —
-/// `half_edges ×` [`HALF_EDGE_BYTES`], the in-memory half-edge columns
-/// the scatter pass would otherwise hold — **exceeds** the budget.
-/// No budget means never; an empty build never spills (there is nothing
-/// to buffer).
+/// The budget rule: spill when the estimated footprint —
+/// `half_edges ×` [`HALF_EDGE_BYTES`] — **exceeds** the budget. The
+/// build applies it once, to the whole stream's count after its counting
+/// pass; the rule is monotone in the count, so that is the arm a check
+/// after every edge would pick. No budget means never; an empty build
+/// never spills (there is nothing to buffer).
 pub fn should_spill(half_edges: usize, budget_bytes: Option<u64>) -> bool {
     budget_bytes.is_some_and(|b| (half_edges as u64).saturating_mul(HALF_EDGE_BYTES as u64) > b)
 }

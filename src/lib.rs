@@ -30,10 +30,11 @@
 //!    shared sorted intern table, weekday/hour keys, weights. Graph
 //!    construction goes straight from those columns to a frozen graph via
 //!    [`graph::build_dense_csr`] / [`graph::build_dense_csr_budgeted`]:
-//!    **sort-merge construction** (sort by row and target, merge adjacent
-//!    duplicates in insertion order) expressed as fixed-chunk passes on
-//!    the [`graph::par`] scheduler — zero per-edge hash operations,
-//!    parallel yet bit-identical at any thread count. All three temporal
+//!    **sort-free construction** (a counting scatter and a counting
+//!    transpose put every row in target order, and a linear fold merges
+//!    adjacent duplicates in insertion order) — zero per-edge hash
+//!    operations and no comparison sort, bit-identical at any thread
+//!    count. All three temporal
 //!    granularities replay the trip table through one dense slot intern
 //!    ([`core::temporal::build_all_from_trips`]), and the budgeted entry
 //!    alone decides whether a build spills to disk.
